@@ -444,10 +444,19 @@ def main(argv=None):
     else:
         args.ns = [2, 3]
     char = getattr(args, "char", 0)
-    if char != 0 and not _is_prime(char):
-        parser.error("--char must be 0 or a prime")
+    if char != 0:
+        try:
+            prime = _is_prime(char)
+        except ValueError as exc:
+            parser.error(f"--char: {exc}")
+        if not prime:
+            parser.error("--char must be 0 or a prime")
     if getattr(args, "m_max", 0) is not None and getattr(args, "m_max", 0) < 0:
         parser.error("--m-max must be >= 0")
+    if getattr(args, "deg_max", 0) < 0:
+        parser.error("--deg-max must be >= 0")
+    if getattr(args, "oracle_cap", 0) < 0:
+        parser.error("--oracle-cap must be >= 0")
 
     if args.command == "dims":
         records = _dims_records(args.ns, args.m_max, char)

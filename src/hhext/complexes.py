@@ -4,6 +4,8 @@ The degree-m term is the exterior algebra tensored with the degree-m
 commutative monomials; basis elements are pairs (monomial, exponent
 vector), ordered monomial-major (length-lex on the monomial, then lex on
 the exponent vector).  That ordering is fixed so reports are byte-stable.
+Ranks never need that global basis: both differentials are block diagonal
+by a Z^n weight, and each block is built and ranked on its own.
 
 A reduced bar complex provides an independent oracle for the same
 dimensions; it never touches the small resolution's generators.
@@ -11,11 +13,12 @@ dimensions; it never touches the small resolution's generators.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 from .exactla import SparseMatrix, rank
-from .exterior import ExtMonomial, check_n, merge_signed, monomials, mu_count, signed_append
+from .exterior import check_n, merge_signed, monomials
 from .formulas import binom
 from .resolution import exponent_vectors
 
@@ -51,19 +54,6 @@ def grade(mono, e):
     return len(set(mono.indices) | {h + 1 for h, v in enumerate(e) if v})
 
 
-def positive_degree(mono, e):
-    """Count of monomial indices whose exponent entry is zero."""
-    return sum(1 for t in mono.indices if e[t - 1] == 0)
-
-
-def negative_degree(mono, e):
-    """Total exponent excess over the monomial's indicator vector."""
-    total = 0
-    for h in range(1, len(e) + 1):
-        total += max(e[h - 1] - (1 if h in mono.indices else 0), 0)
-    return total
-
-
 class ComplexSlice:
     """One differential of a complex, with its fixed basis orderings."""
 
@@ -78,83 +68,187 @@ class ComplexSlice:
         self.codomain_basis = codomain_basis
 
 
+# ---------------------------------------------------------------------------
+# The two differentials, each written once.  A column (idx, e) of either
+# differential has one factor, fixed by the monomial degree j = len(idx)
+# and the degree m, times the sign (-1)^mu of inserting a generator h into
+# idx, where mu counts the indices of idx below h.
+
+
+def chain_factor(j, m, field):
+    """Factor (-1)^j + (-1)^m of a degree-m chain column whose monomial
+    has degree j."""
+    return field.of((-1) ** j + (-1) ** m)
+
+
+def cochain_factor(j, m, field):
+    """Factor 1 + (-1)^(m+j+1) of a degree-m cochain column whose
+    monomial has degree j."""
+    return field.of(1 + (-1) ** (m + j + 1))
+
+
+def _insertions(idx, n, signed):
+    """(h, idx with h inserted, signed[mu % 2]) for every generator h
+    outside the index tuple idx; ``signed`` is a pair (value, -value)."""
+    out = []
+    mu = 0
+    for h in range(1, n + 1):
+        if mu < len(idx) and idx[mu] == h:
+            mu += 1
+            continue
+        out.append((h, idx[:mu] + (h,) + idx[mu:], signed[mu % 2]))
+    return out
+
+
+def chain_entries(idx, e, signed):
+    """Column of the chain differential at (idx, e), its factor given as
+    the pair ``signed`` = (factor, -factor): ((idx + h, e - h),
+    factor * (-1)^mu) for each h in the support of e outside idx."""
+    return [
+        ((t, e[:h - 1] + (e[h - 1] - 1,) + e[h:]), v)
+        for h, t, v in _insertions(idx, len(e), signed) if e[h - 1]
+    ]
+
+
+def cochain_entries(idx, e, signed):
+    """Column of the cochain differential at (idx, e), its factor given
+    as the pair ``signed`` = (factor, -factor): ((idx + h, e + h),
+    factor * (-1)^mu) for each h outside idx."""
+    return [
+        ((t, e[:h - 1] + (e[h - 1] + 1,) + e[h:]), v)
+        for h, t, v in _insertions(idx, len(e), signed)
+    ]
+
+
+def _matrix(domain, factor_of, entries_of, m, field, rows=None):
+    """Matrix of a differential on the domain keys (idx, e), with target
+    keys numbered by the mapping ``rows``.  Without one, the rows are the
+    targets the columns reach, numbered in order of first use, as for a
+    weight block."""
+    if rows is None:
+        rows = defaultdict()
+        rows.default_factory = rows.__len__
+    signed = {}
+    entries = {}
+    for col, (idx, e) in enumerate(domain):
+        j = len(idx)
+        if j not in signed:
+            factor = factor_of(j, m, field)
+            signed[j] = (None if factor == field.zero
+                         else (factor, field.neg(factor)))
+        if signed[j] is not None:
+            for key, v in entries_of(idx, e, signed[j]):
+                entries[(rows[key], col)] = v
+    return SparseMatrix(len(rows), len(domain), field, entries)
+
+
 @lru_cache(maxsize=None)
 def chain_matrix(n, m, field):
-    """The degree-m chain differential, lowering exponent degree m to m-1.
-
-    The column of (mono, e) has, for every h in the support of e with h
-    not in mono, the entry ((-1)^j + (-1)^m) * (-1)^mu at the row for
-    (mono with h inserted, e minus h), where j is the monomial degree and
-    mu counts monomial indices below h.
-    """
+    """The degree-m chain differential, lowering exponent degree m to
+    m-1, on the ordered bases of chain_basis; its columns come from
+    chain_factor and chain_entries."""
     check_n(n)
     if m < 1:
         raise ValueError("m must be >= 1")
     domain = chain_basis(n, m)
     codomain = chain_basis(n, m - 1)
-    rows = _chain_index(n, m - 1)
-    entries = {}
-    for col, (mono, e) in enumerate(domain):
-        factor = field.of((-1) ** mono.degree + (-1) ** m)
-        if factor == field.zero:
-            continue
-        for h in range(1, n + 1):
-            if e[h - 1] == 0:
-                continue
-            res = signed_append(mono, h)
-            if res is None:
-                continue
-            sign, target = res
-            e2 = list(e)
-            e2[h - 1] -= 1
-            r = rows[(target.indices, tuple(e2))]
-            v = factor if sign > 0 else field.neg(factor)
-            entries[(r, col)] = v
-    M = SparseMatrix(len(codomain), len(domain), field, entries)
+    keys = [(mono.indices, e) for mono, e in domain]
+    M = _matrix(keys, chain_factor, chain_entries, m, field,
+                _chain_index(n, m - 1))
     return ComplexSlice(n, m, field, M, domain, codomain)
 
 
 @lru_cache(maxsize=None)
 def cochain_matrix(n, m, field):
-    """The cochain differential raising exponent degree m to m+1.
-
-    The column of (mono, e) has, for every h not in mono, the entry
-    (1 + (-1)^(m+j+1)) * (-1)^mu at the row for (mono with h inserted,
-    e plus h).
-    """
+    """The cochain differential raising exponent degree m to m+1, on the
+    ordered bases of chain_basis; its columns come from cochain_factor
+    and cochain_entries."""
     check_n(n)
     if m < 0:
         raise ValueError("m must be >= 0")
     domain = chain_basis(n, m)
     codomain = chain_basis(n, m + 1)
-    rows = _chain_index(n, m + 1)
-    entries = {}
-    for col, (mono, e) in enumerate(domain):
-        factor = field.of(1 + (-1) ** (m + mono.degree + 1))
-        if factor == field.zero:
-            continue
-        for h in range(1, n + 1):
-            res = signed_append(mono, h)
-            if res is None:
-                continue
-            sign, target = res
-            e2 = list(e)
-            e2[h - 1] += 1
-            r = rows[(target.indices, tuple(e2))]
-            v = factor if sign > 0 else field.neg(factor)
-            entries[(r, col)] = v
-    M = SparseMatrix(len(codomain), len(domain), field, entries)
+    keys = [(mono.indices, e) for mono, e in domain]
+    M = _matrix(keys, cochain_factor, cochain_entries, m, field,
+                _chain_index(n, m + 1))
     return ComplexSlice(n, m, field, M, domain, codomain)
+
+
+# ---------------------------------------------------------------------------
+# Weight blocks.  The chain differential preserves w = 1_idx + e and the
+# cochain differential preserves v = e - 1_idx, so both matrices are block
+# diagonal by weight and their ranks are sums of block ranks.  Inside one
+# block every column has the same monomial degree, hence the same factor;
+# blocks whose factor vanishes are never built.
+
+
+def _shift(w, hs, d):
+    """The vector w with d added at each generator in hs."""
+    out = list(w)
+    for h in hs:
+        out[h - 1] += d
+    return tuple(out)
+
+
+def chain_blocks(n, m, field):
+    """Yield (domain keys, block matrix) for every weight block of the
+    degree-m chain differential with a nonzero factor.
+
+    The block of w = 1_S + e has the columns (S, w - 1_S) with S inside
+    supp(w) and |S| = |w| - m.
+    """
+    check_n(n)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    for s in range(1, n + 1):
+        for j in range(max(0, s - m), s + 1):
+            if chain_factor(j, m, field) == field.zero:
+                continue
+            for support in combinations(range(1, n + 1), s):
+                for extra in combinations_with_replacement(support, m + j - s):
+                    w = _shift((0,) * n, support + extra, 1)
+                    domain = [(S, _shift(w, S, -1))
+                              for S in combinations(support, j)]
+                    yield domain, _matrix(domain, chain_factor,
+                                          chain_entries, m, field)
+
+
+def cochain_blocks(n, m, field):
+    """Yield (domain keys, block matrix) for every weight block of the
+    cochain differential leaving degree m with a nonzero factor.
+
+    The block of v = e - 1_S has the columns (N + S', v + 1_(N + S'))
+    where N = {h : v_h = -1} and S' runs over the subsets of the other
+    generators of size |S| - |N|, with |S| = m - |v|.
+    """
+    check_n(n)
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    gens = range(1, n + 1)
+    for j in range(n + 1):
+        if cochain_factor(j, m, field) == field.zero:
+            continue
+        for t in range(max(0, j - m), j + 1):
+            for minus in combinations(gens, t):
+                rest = tuple(h for h in gens if h not in minus)
+                for extra in combinations_with_replacement(rest, m - j + t):
+                    base = _shift((0,) * n, extra, 1)
+                    domain = [
+                        (tuple(sorted(minus + S)), _shift(base, S, 1))
+                        for S in combinations(rest, j - t)
+                    ]
+                    yield domain, _matrix(domain, cochain_factor,
+                                          cochain_entries, m, field)
 
 
 @lru_cache(maxsize=None)
 def chain_rank(n, m, field):
-    return rank(chain_matrix(n, m, field).matrix)
+    return sum(rank(M) for _, M in chain_blocks(n, m, field))
 
 
 @lru_cache(maxsize=None)
 def cochain_rank(n, m, field):
-    return rank(cochain_matrix(n, m, field).matrix)
+    return sum(rank(M) for _, M in cochain_blocks(n, m, field))
 
 
 def hh_dim_computed(n, m, field):

@@ -11,14 +11,36 @@ import heapq
 from fractions import Fraction
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The smallest strong pseudoprime to all of _MR_BASES (Sorenson and
+# Webster, 2015); below it the Miller-Rabin test is exact.  Dropping the
+# base 41 would lower this to 318665857834031151167461.
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Deterministic Miller-Rabin primality test; raises ValueError at or
+    above PRIME_BOUND, where the fixed bases no longer decide it."""
+    if p >= PRIME_BOUND:
+        raise ValueError(f"primality is only decided below {PRIME_BOUND}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

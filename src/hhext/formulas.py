@@ -21,24 +21,31 @@ def same_parity(a, b):
     return (a - b) % 2 == 0
 
 
+def chain_rank_terms(n, m, char=0):
+    """Outer terms of chain_rank_double_sum: {i: C(n,i) * inner_i} for
+    support sizes i = 1..n, where inner_i sums over coefficient degrees
+    j < i of the parity of m.  All zero in characteristic 2.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    terms = {}
+    for i in range(1, n + 1):
+        inner = 0
+        if char != 2:
+            for j in range(0, i):
+                if same_parity(j, m):
+                    inner += binom(j + m - 1, i - 1) * binom(i - 1, j)
+        terms[i] = binom(n, i) * inner
+    return terms
+
+
 def chain_rank_double_sum(n, m, char=0):
     """Rank of the degree-m chain differential, as a double sum over
     support size i and coefficient degree j (same parity as m).
 
     Zero in characteristic 2, where the differential vanishes.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if char == 2:
-        return 0
-    total = 0
-    for i in range(1, n + 1):
-        inner = 0
-        for j in range(0, i):
-            if same_parity(j, m):
-                inner += binom(j + m - 1, i - 1) * binom(i - 1, j)
-        total += binom(n, i) * inner
-    return total
+    return sum(chain_rank_terms(n, m, char).values())
 
 
 def chain_rank_closed_form(n, m):
@@ -68,23 +75,30 @@ def binomial_sum_identity(n, m, j):
     return lhs == rhs
 
 
+def cochain_rank_terms(n, m, char=0):
+    """Outer terms of cochain_rank_double_sum: {i: C(n,i) * inner_i} for
+    i = 1..n, with the inner parity tied to n + m.  All zero in
+    characteristic 2.
+    """
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    terms = {}
+    for i in range(1, n + 1):
+        inner = 0
+        if char != 2:
+            for j in range(0, i):
+                if same_parity(j, n + m):
+                    inner += binom(j + m, i - 1) * binom(i - 1, j)
+        terms[i] = binom(n, i) * inner
+    return terms
+
+
 def cochain_rank_double_sum(n, m, char=0):
     """Rank of the cochain differential leaving cohomological degree m
     (the map raising degree m to m+1), as a double sum with the inner
     parity tied to n + m.  Zero in characteristic 2.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if char == 2:
-        return 0
-    total = 0
-    for i in range(1, n + 1):
-        inner = 0
-        for j in range(0, i):
-            if same_parity(j, n + m):
-                inner += binom(j + m, i - 1) * binom(i - 1, j)
-        total += binom(n, i) * inner
-    return total
+    return sum(cochain_rank_terms(n, m, char).values())
 
 
 def cochain_rank_closed_form(n, m):

@@ -105,13 +105,6 @@ def _relation_span(n):
     return span
 
 
-def relation_vector(word_pair, n):
-    """Coefficient vector of a degree-2 word in the indexing used by the
-    quadratic relation span."""
-    i, j = word_pair
-    return {(i - 1) * n + (j - 1): 1}
-
-
 def verify_relation_window_membership(n, m):
     """Every degree-m generator lies in the intersection, over all splits
     p + q = m - 2, of (words of length p) * (quadratic relations) * (words

@@ -17,7 +17,14 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
-from .complexes import chain_dim, cochain_matrix, _chain_index, hhc_dim_computed
+from .complexes import (
+    _chain_index,
+    chain_dim,
+    cochain_entries,
+    cochain_factor,
+    cochain_matrix,
+    hhc_dim_computed,
+)
 from .exactla import SpanBasis
 from .exterior import check_n, merge_signed, monomials, center_basis
 from .formulas import binom, same_parity
@@ -101,28 +108,17 @@ def unit_class(n, field):
 
 
 def apply_differential(vec):
-    """Image of the cochain under the cochain differential, one degree up.
-
-    Each term (mono, e) contributes (1 + (-1)^(m+j+1)) * (-1)^mu at
-    (mono with h inserted, e plus h) for every h outside mono.
-    """
+    """Image of the cochain under the cochain differential, one degree up:
+    each term (mono, e) with coefficient c contributes c times the
+    differential's column at (mono, e)."""
     n, m, F = vec.n, vec.m, vec.field
     out = {}
     for (idx, e), c in vec.terms.items():
-        j = len(idx)
-        factor = F.of(1 + (-1) ** (m + j + 1))
+        factor = cochain_factor(len(idx), m, F)
         if factor == F.zero:
             continue
         base = F.mul(factor, c)
-        for h in range(1, n + 1):
-            if h in idx:
-                continue
-            mu = sum(1 for t in idx if t < h)
-            new_idx = tuple(sorted(idx + (h,)))
-            e2 = list(e)
-            e2[h - 1] += 1
-            key = (new_idx, tuple(e2))
-            v = base if mu % 2 == 0 else F.neg(base)
+        for key, v in cochain_entries(idx, e, (base, F.neg(base))):
             acc = F.add(out.get(key, F.zero), v)
             if acc == F.zero:
                 out.pop(key, None)

@@ -4,12 +4,15 @@ import json
 import subprocess
 import sys
 
+from hhext.exactla import PRIME_BOUND
+
 
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "hhext.cli", *args],
         capture_output=True,
         text=True,
+        timeout=120,
     )
 
 
@@ -114,6 +117,26 @@ def test_usage_errors():
     assert run_cli("verify", "--char", "4").returncode == 2
     assert run_cli("dims", "--n", "2", "--n-max", "3").returncode == 2
     assert run_cli().returncode == 2
+
+
+def test_vacuous_ring_and_oracle_inputs_rejected():
+    """A negative degree bound would check nothing and report pass."""
+    assert run_cli("ring", "--n", "2", "--deg-max", "-1").returncode == 2
+    assert run_cli("verify", "--n", "2", "--deg-max", "-1").returncode == 2
+    assert run_cli("verify", "--suite", "oracle",
+                   "--oracle-cap", "-5").returncode == 2
+
+
+def test_large_prime_char():
+    """2^61 - 1 is accepted without a trial-division hang; 2^61 + 1
+    (divisible by 3) and values beyond the exact primality range are
+    usage errors."""
+    args = ("dims", "--n", "2", "--m-max", "1", "--no-timestamp", "--char")
+    r = run_cli(*args, str(2 ** 61 - 1))
+    assert r.returncode == 0
+    assert "0 failed" in r.stdout
+    assert run_cli(*args, str(2 ** 61 + 1)).returncode == 2
+    assert run_cli(*args, str(PRIME_BOUND + 2)).returncode == 2
 
 
 def test_timestamp_present_by_default():

@@ -1,8 +1,18 @@
 """Chain/cochain matrices, dimension computations, bar oracle."""
 
+from collections import Counter
+
 import pytest
 
-from hhext.exactla import GF, QQ
+from hhext import complexes
+from hhext.exactla import GF, QQ, rank
+from hhext.exterior import ExtMonomial
+from hhext.formulas import (
+    chain_rank_double_sum,
+    chain_rank_terms,
+    cochain_rank_double_sum,
+    cochain_rank_terms,
+)
 from hhext.complexes import (
     OracleInfeasibleError,
     bar_chain_dim,
@@ -10,9 +20,11 @@ from hhext.complexes import (
     bar_cochain_matrix,
     bar_oracle_dims,
     chain_basis,
+    chain_blocks,
     chain_dim,
     chain_matrix,
     chain_rank,
+    cochain_blocks,
     cochain_matrix,
     cochain_rank,
     grade,
@@ -89,6 +101,71 @@ def test_odd_char_matches_rationals():
     for m in range(1, 4):
         assert chain_rank(2, m, F) == chain_rank(2, m, QQ)
         assert cochain_rank(2, m, F) == cochain_rank(2, m, QQ)
+
+
+SIZES = ((3, 5), (4, 4), (5, 3))
+FIELDS = (QQ, GF(3), GF(2))
+
+
+def test_blocks_partition_the_global_matrices():
+    """Block ranks sum to the global rank and block nonzeros to the
+    global nonzeros, so the blocks cover every entry exactly once."""
+    for field in FIELDS:
+        for n, m_max in SIZES:
+            for m in range(m_max + 1):
+                pairs = [(cochain_blocks, cochain_matrix(n, m, field).matrix)]
+                if m >= 1:
+                    pairs.append((chain_blocks, chain_matrix(n, m, field).matrix))
+                for blocks, full in pairs:
+                    got = [M for _, M in blocks(n, m, field)]
+                    assert sum(map(rank, got)) == rank(full), (n, m, field)
+                    assert sum(M.nnz() for M in got) == full.nnz(), (n, m, field)
+
+
+def test_block_ranks_refine_rank_formulas():
+    """Grouped by support size i, the block ranks equal the outer terms
+    C(n,i) * inner_i of the double-sum rank formulas.  A chain block's i
+    is the support size of its weight 1_S + e; a cochain block's i is n
+    minus the number of generators where its weight e - 1_S is -1."""
+    for field in FIELDS:
+        for n in range(2, 6):
+            for m in range(5):
+                if m >= 1:
+                    got = Counter()
+                    for domain, M in chain_blocks(n, m, field):
+                        idx, e = domain[0]
+                        got[grade(ExtMonomial(n, idx), e)] += rank(M)
+                    terms = chain_rank_terms(n, m, field.char)
+                    assert +got == +Counter(terms), (n, m, field)
+                got = Counter()
+                for domain, M in cochain_blocks(n, m, field):
+                    idx, e = domain[0]
+                    got[n - sum(1 for h in idx if e[h - 1] == 0)] += rank(M)
+                terms = cochain_rank_terms(n, m, field.char)
+                assert +got == +Counter(terms), (n, m, field)
+
+
+def _unsigned_insertions(idx, n, signed):
+    """The shared insertion rule with the (-1)^mu sign dropped."""
+    return [(h, tuple(sorted(idx + (h,))), signed[0])
+            for h in range(1, n + 1) if h not in idx]
+
+
+def test_dropped_sign_changes_block_ranks(monkeypatch):
+    """Both rank engines go through the one sign rule: without the
+    (-1)^mu sign the ranks leave the formulas.  At n = 2 the mutant goes
+    unnoticed, hence n = 3."""
+    assert chain_rank(3, 3, QQ) == chain_rank_double_sum(3, 3)
+    assert cochain_rank(3, 2, QQ) == cochain_rank_double_sum(3, 2)
+    chain_rank.cache_clear()
+    cochain_rank.cache_clear()
+    monkeypatch.setattr(complexes, "_insertions", _unsigned_insertions)
+    try:
+        assert chain_rank(3, 3, QQ) != chain_rank_double_sum(3, 3)
+        assert cochain_rank(3, 2, QQ) != cochain_rank_double_sum(3, 2)
+    finally:
+        chain_rank.cache_clear()
+        cochain_rank.cache_clear()
 
 
 def test_bar_dims():

@@ -1,17 +1,20 @@
 """Exact sparse linear algebra: fields, rank, kernels, span membership."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from hhext.exactla import (
     GF,
+    PRIME_BOUND,
     QQ,
     SparseMatrix,
     SpanBasis,
     field_of_char,
     in_span,
     kernel_basis,
+    _is_prime,
     rank,
 )
 
@@ -37,6 +40,25 @@ def test_prime_field_ops():
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         GF(6)
+
+
+def test_is_prime_miller_rabin():
+    """Agrees with trial division, rejects strong pseudoprimes to many
+    bases, decides a 61-bit prime at once, and refuses the range where
+    its fixed bases stop being exact."""
+    def trial(p):
+        return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+    assert all(_is_prime(p) == trial(p) for p in range(-3, 5000))
+    # strong pseudoprimes to every prime base up to 31, and up to 37
+    for c in (3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(c)
+    start = time.perf_counter()
+    assert _is_prime(2 ** 61 - 1)
+    assert time.perf_counter() - start < 1
+    assert not _is_prime(2 ** 61 + 1)
+    with pytest.raises(ValueError):
+        _is_prime(PRIME_BOUND)
 
 
 def test_field_of_char():

@@ -69,39 +69,29 @@ from .ring import (
 SUITES = ("resolution", "ranks", "identities", "oracle", "ring", "all")
 
 
-def _rec(rid, params, expected, computed, note=None):
+def _rec(rid, params, expected, computed, status=None, note=None):
+    """One report record.  The status is pass or fail by comparing
+    expected with computed unless given (skip, finding); the note is
+    emitted only when given."""
     rec = {
         "id": rid,
         "params": params,
         "expected": expected,
         "computed": computed,
-        "status": "pass" if expected == computed else "fail",
+        "status": status or ("pass" if expected == computed else "fail"),
     }
     if note:
         rec["note"] = note
     return rec
 
 
-def _skip(rid, params, note):
-    return {
-        "id": rid,
-        "params": params,
-        "expected": None,
-        "computed": None,
-        "status": "skip",
-        "note": note,
-    }
-
-
-def _finding(rid, params, expected, computed, note):
-    return {
-        "id": rid,
-        "params": params,
-        "expected": expected,
-        "computed": computed,
-        "status": "finding",
-        "note": note,
-    }
+def _cyclic_dim(m, hh_dim):
+    """Cyclic homology dimension in degree m from the Hochschild
+    dimensions hh_dim(0..m): the alternating sum, plus 1 in odd degree."""
+    acc = 0
+    for i in range(m + 1):
+        acc = -acc + hh_dim(i)
+    return acc + (1 if m % 2 else 0)
 
 
 def _dims_records(ns, m_max, char):
@@ -122,11 +112,9 @@ def _dims_records(ns, m_max, char):
         if char == 0:
             for m in range(m_max + 1):
                 p = {"n": n, "m": m, "char": 0}
-                acc = 0
-                for i in range(m + 1):
-                    acc = -acc + hh_dim_computed(n, i, field)
-                out.append(_rec("dims.cyclic", p, hc_dim_formula(n, m, 0),
-                                acc + (1 if m % 2 else 0)))
+                out.append(_rec(
+                    "dims.cyclic", p, hc_dim_formula(n, m, 0),
+                    _cyclic_dim(m, lambda i: hh_dim_computed(n, i, field))))
     return out
 
 
@@ -216,10 +204,9 @@ def _oracle_records(ns, m_max, char, cap):
                                 hhc_dim_computed(n, m, field), c))
         for m in range(feasible + 1, m_max + 1):
             p = {"n": n, "m": m, "char": char}
-            out.append(_skip("oracle.hh", p,
-                             f"bar complex too large at cap {cap}"))
-            out.append(_skip("oracle.hhc", p,
-                             f"bar complex too large at cap {cap}"))
+            note = f"bar complex too large at cap {cap}"
+            out.append(_rec("oracle.hh", p, None, None, "skip", note))
+            out.append(_rec("oracle.hhc", p, None, None, "skip", note))
         p = {"n": n, "char": char}
         out.append(_rec("oracle.commutator-quotient", p,
                         hh_dim_formula(n, 0, char),
@@ -266,11 +253,12 @@ def _ring_records(ns, deg_max, char):
             indep = audit["evaluations_independent"]
             if indep and audit["degree"] == 0 and n % 2 == 1 \
                     and expected - count == 1:
-                out.append(_finding("ring.presentation", p, expected, count,
-                                    "normal forms span one less than the "
-                                    "degree-0 dimension when n is odd: the "
-                                    "top monomial class is central but not "
-                                    "a product of the listed generators"))
+                out.append(_rec("ring.presentation", p, expected, count,
+                                "finding",
+                                "normal forms span one less than the "
+                                "degree-0 dimension when n is odd: the "
+                                "top monomial class is central but not "
+                                "a product of the listed generators"))
             else:
                 out.append(_rec("ring.presentation", p,
                                 {"dim": expected, "independent": True},
@@ -281,8 +269,8 @@ def _ring_records(ns, deg_max, char):
         if strict == dims:
             out.append(_rec("ring.presentation-strict-reading", p, dims, strict))
         else:
-            out.append(_finding(
-                "ring.presentation-strict-reading", p, dims, strict,
+            out.append(_rec(
+                "ring.presentation-strict-reading", p, dims, strict, "finding",
                 "per-degree counts when the normal-form chains must start "
                 "above index 1; they undercount every degree"))
     return out
@@ -293,11 +281,9 @@ def _cyclic_records(ns, m_max):
     for n in ns:
         for m in range(m_max + 1):
             p = {"n": n, "m": m, "char": 0}
-            acc = 0
-            for i in range(m + 1):
-                acc = -acc + hh_dim_formula(n, i, 0)
-            out.append(_rec("cyclic.value", p, hc_dim_formula(n, m, 0),
-                            acc + (1 if m % 2 else 0)))
+            out.append(_rec(
+                "cyclic.value", p, hc_dim_formula(n, m, 0),
+                _cyclic_dim(m, lambda i: hh_dim_formula(n, i, 0))))
             if m >= 1:
                 out.append(_rec("cyclic.recurrence", p,
                                 hh_dim_formula(n, m, 0) + 1,

@@ -54,20 +54,6 @@ def grade(mono, e):
     return len(set(mono.indices) | {h + 1 for h, v in enumerate(e) if v})
 
 
-class ComplexSlice:
-    """One differential of a complex, with its fixed basis orderings."""
-
-    __slots__ = ("n", "m", "field", "matrix", "domain_basis", "codomain_basis")
-
-    def __init__(self, n, m, field, matrix, domain_basis, codomain_basis):
-        self.n = n
-        self.m = m
-        self.field = field
-        self.matrix = matrix
-        self.domain_basis = domain_basis
-        self.codomain_basis = codomain_basis
-
-
 # ---------------------------------------------------------------------------
 # The two differentials, each written once.  A column (idx, e) of either
 # differential has one factor, fixed by the monomial degree j = len(idx)
@@ -145,33 +131,29 @@ def _matrix(domain, factor_of, entries_of, m, field, rows=None):
 @lru_cache(maxsize=None)
 def chain_matrix(n, m, field):
     """The degree-m chain differential, lowering exponent degree m to
-    m-1, on the ordered bases of chain_basis; its columns come from
-    chain_factor and chain_entries."""
+    m-1: columns in the order of chain_basis(n, m), rows in that of
+    chain_basis(n, m - 1); its columns come from chain_factor and
+    chain_entries."""
     check_n(n)
     if m < 1:
         raise ValueError("m must be >= 1")
-    domain = chain_basis(n, m)
-    codomain = chain_basis(n, m - 1)
-    keys = [(mono.indices, e) for mono, e in domain]
-    M = _matrix(keys, chain_factor, chain_entries, m, field,
-                _chain_index(n, m - 1))
-    return ComplexSlice(n, m, field, M, domain, codomain)
+    keys = [(mono.indices, e) for mono, e in chain_basis(n, m)]
+    return _matrix(keys, chain_factor, chain_entries, m, field,
+                   _chain_index(n, m - 1))
 
 
 @lru_cache(maxsize=None)
 def cochain_matrix(n, m, field):
-    """The cochain differential raising exponent degree m to m+1, on the
-    ordered bases of chain_basis; its columns come from cochain_factor
-    and cochain_entries."""
+    """The cochain differential raising exponent degree m to m+1:
+    columns in the order of chain_basis(n, m), rows in that of
+    chain_basis(n, m + 1); its columns come from cochain_factor and
+    cochain_entries."""
     check_n(n)
     if m < 0:
         raise ValueError("m must be >= 0")
-    domain = chain_basis(n, m)
-    codomain = chain_basis(n, m + 1)
-    keys = [(mono.indices, e) for mono, e in domain]
-    M = _matrix(keys, cochain_factor, cochain_entries, m, field,
-                _chain_index(n, m + 1))
-    return ComplexSlice(n, m, field, M, domain, codomain)
+    keys = [(mono.indices, e) for mono, e in chain_basis(n, m)]
+    return _matrix(keys, cochain_factor, cochain_entries, m, field,
+                   _chain_index(n, m + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +255,11 @@ def verify_d_squared_zero(n, m_max, field):
     """Consecutive chain and cochain differentials compose to zero, as
     exact matrix products, for every degree within m_max."""
     for m in range(1, m_max):
-        prod = chain_matrix(n, m, field).matrix.matmul(
-            chain_matrix(n, m + 1, field).matrix
-        )
+        prod = chain_matrix(n, m, field).matmul(chain_matrix(n, m + 1, field))
         if not prod.is_zero():
             return False
     for m in range(1, m_max + 1):
-        prod = cochain_matrix(n, m, field).matrix.matmul(
-            cochain_matrix(n, m - 1, field).matrix
-        )
+        prod = cochain_matrix(n, m, field).matmul(cochain_matrix(n, m - 1, field))
         if not prod.is_zero():
             return False
     return True

@@ -415,21 +415,3 @@ class SpanBasis:
 
     def contains(self, vec):
         return not self.reduce(vec)
-
-
-def in_span(v, basis, field=None, dim=None):
-    """True iff column vector v lies in the span of the given vectors.
-
-    Vectors are sparse dicts.  ``field`` defaults to Q.  If ``dim`` is
-    given, all indices are checked against it (a mismatch is an error).
-    """
-    F = field if field is not None else QQ
-    if dim is not None:
-        for vec in list(basis) + [v]:
-            for i in vec:
-                if i < 0 or i >= dim:
-                    raise ValueError("vector index out of range")
-    sb = SpanBasis(F)
-    for b in basis:
-        sb.insert(b)
-    return sb.contains(v)

@@ -83,34 +83,6 @@ def monomials(n):
     return tuple(out)
 
 
-def mu_count(mono, h):
-    """Number of indices of the monomial strictly below h."""
-    if not 1 <= h <= mono.n:
-        raise ValueError(f"generator index {h} out of range for n={mono.n}")
-    return sum(1 for t in mono.indices if t < h)
-
-
-def signed_append(mono, h):
-    """Multiply a basis monomial by x_h on the right.
-
-    Returns None when h already occurs (the product is zero), otherwise
-    (sign, monomial) with sign = (-1)^mu_count(mono, h) and the monomial
-    the sorted insertion of h.
-
-    >>> signed_append(ExtMonomial(3, (1, 3)), 2)
-    (-1, ExtMonomial(3, (1, 2, 3)))
-    >>> signed_append(ExtMonomial(3, (1,)), 1) is None
-    True
-    """
-    if not 1 <= h <= mono.n:
-        raise ValueError(f"generator index {h} out of range for n={mono.n}")
-    if h in mono.indices:
-        return None
-    mu = mu_count(mono, h)
-    idx = tuple(sorted(mono.indices + (h,)))
-    return (-1) ** mu, ExtMonomial(mono.n, idx)
-
-
 def merge_signed(a, b):
     """Signed product of two index tuples: None if they share an index,
     else (sign, sorted concatenation) where sign counts the inversions

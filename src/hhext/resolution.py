@@ -149,36 +149,33 @@ def verify_generator_space_dim(n, m):
     return rank(M) == len(vecs) == binom(n + m - 1, n - 1)
 
 
-class ResolutionGeneratorMap:
-    """The degree-m differential, stored per generator as a signed summand
-    list.  Applied to the generator for e, the differential is
+def generator_map(n, m):
+    """The degree-m differential, as a signed summand list per generator.
+    Applied to the generator for e, the differential is
 
         sum_h ( x_h . g(e - d_h) + (-1)^m g(e - d_h) . x_h )
 
-    with h running over the support of e.  Summands are tuples
-    (sign, left word, target exponent vector, right word) where the words
-    are () or a single generator index.
+    with h running over the support of e.  Returns {e: summands} with
+    summands (sign, left word, target exponent vector, right word), where
+    the words are () or a single generator index.
     """
-
-    def __init__(self, n, m):
-        check_n(n)
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        self.n = n
-        self.m = m
-        sign = (-1) ** m
-        self.entries = {}
-        for e in exponent_vectors(n, m):
-            summands = []
-            for h in range(1, n + 1):
-                if e[h - 1] == 0:
-                    continue
-                prev = list(e)
-                prev[h - 1] -= 1
-                prev = tuple(prev)
-                summands.append((1, (h,), prev, ()))
-                summands.append((sign, (), prev, (h,)))
-            self.entries[e] = summands
+    check_n(n)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    sign = (-1) ** m
+    out = {}
+    for e in exponent_vectors(n, m):
+        summands = []
+        for h in range(1, n + 1):
+            if e[h - 1] == 0:
+                continue
+            prev = list(e)
+            prev[h - 1] -= 1
+            prev = tuple(prev)
+            summands.append((1, (h,), prev, ()))
+            summands.append((sign, (), prev, (h,)))
+        out[e] = summands
+    return out
 
 
 def verify_delta_squared_zero(n, m):
@@ -189,12 +186,12 @@ def verify_delta_squared_zero(n, m):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    outer = ResolutionGeneratorMap(n, m + 1)
-    inner = ResolutionGeneratorMap(n, m)
-    for e, summands in outer.entries.items():
+    outer = generator_map(n, m + 1)
+    inner = generator_map(n, m)
+    for e, summands in outer.items():
         acc = {}
         for s1, l1, e1, r1 in summands:
-            for s2, l2, e2, r2 in inner.entries[e1]:
+            for s2, l2, e2, r2 in inner[e1]:
                 left = merge_signed(l1, l2)
                 if left is None:
                     continue

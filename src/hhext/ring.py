@@ -20,6 +20,7 @@ from itertools import combinations, combinations_with_replacement, product
 from .complexes import (
     _chain_index,
     chain_dim,
+    chain_matrix,
     cochain_entries,
     cochain_factor,
     cochain_matrix,
@@ -140,7 +141,7 @@ def _row_vec(vec):
 def _image_span(n, m, field):
     """Echelonized span of the coboundaries in degree m (m >= 1)."""
     span = SpanBasis(field)
-    for col in cochain_matrix(n, m - 1, field).matrix.columns():
+    for col in cochain_matrix(n, m - 1, field).columns():
         if col:
             span.insert(col)
     return span
@@ -251,7 +252,7 @@ def verify_cohomology_basis(n, m, field):
         return False
     span = SpanBasis(field)
     if m >= 1:
-        for col in cochain_matrix(n, m - 1, field).matrix.columns():
+        for col in cochain_matrix(n, m - 1, field).columns():
             if col:
                 span.insert(col)
     for v in basis:
@@ -413,13 +414,7 @@ def ring_relations_hold(n, field):
 
 
 # ---------------------------------------------------------------------------
-# Bulk structural checks over the basis.
-
-
-@lru_cache(maxsize=None)
-def _merge_table(n):
-    mons = [m.indices for m in monomials(n)]
-    return {(a, b): merge_signed(a, b) for a in mons for b in mons}
+# Structural checks: unit, graded commutativity, associativity.
 
 
 @lru_cache(maxsize=None)
@@ -435,66 +430,68 @@ def _basis_terms(n, m, parity_pure):
     return tuple(out)
 
 
+def _test_cocycle(n, m, field):
+    """A degree-m cocycle that is no basis class: one term per monomial of
+    degree parity p(m), the k-th against exponent vector k (cyclically)
+    with coefficient 1 + k % 2, nonzero in every odd characteristic."""
+    es = exponent_vectors(n, m)
+    pure = [mono.indices for mono in monomials(n) if same_parity(mono.degree, m)]
+    return CochainVector(n, m, field, {
+        (idx, es[k % len(es)]): field.of(1 + k % 2) for k, idx in enumerate(pure)
+    })
+
+
+def _bracketed(a, b, c, left_first):
+    """Signed product of three monomials, as (ab)c when left_first and as
+    a(bc) otherwise; None when it vanishes."""
+    inner = merge_signed(a, b) if left_first else merge_signed(b, c)
+    if inner is None:
+        return None
+    outer = merge_signed(inner[1], c) if left_first else merge_signed(a, inner[1])
+    return None if outer is None else (inner[0] * outer[0], outer[1])
+
+
 def verify_graded_commutativity(n, field, total_deg_max):
-    """a * b = (-1)^(st) b * a over all pairs of basis classes with
-    degrees s + t <= total_deg_max.  Works on raw single terms; the
-    product of two basis classes is again a single term or zero."""
+    """a * b = (-1)^(st) b * a for classes of degrees s + t <= total_deg_max.
+
+    The sign rule is checked once on every pair of monomials, and cup
+    itself on one test cocycle per degree for every such (s, t)."""
     if field.char == 2:
         raise ValueError("use the characteristic-2 structure check instead")
-    table = _merge_table(n)
+    mons = [mono.indices for mono in monomials(n)]
+    for a, b in product(mons, repeat=2):
+        ab, ba = merge_signed(a, b), merge_signed(b, a)
+        if ba is not None:
+            ba = ((-1) ** (len(a) * len(b)) * ba[0], ba[1])
+        if ab != ba:
+            return False
+    cocycles = [_test_cocycle(n, m, field) for m in range(total_deg_max + 1)]
     for s in range(total_deg_max + 1):
         for t in range(total_deg_max + 1 - s):
-            sign = (-1) ** (s * t)
-            left = _basis_terms(n, s, True)
-            right = _basis_terms(n, t, True)
-            for l1, e1 in left:
-                for l2, e2 in right:
-                    r12 = table[(l1, l2)]
-                    r21 = table[(l2, l1)]
-                    if r12 is None or r21 is None:
-                        if r12 is not r21:
-                            return False
-                        continue
-                    if r12[1] != r21[1] or r12[0] != sign * r21[0]:
-                        return False
-                    e12 = tuple(x + y for x, y in zip(e1, e2))
-                    e21 = tuple(y + x for x, y in zip(e1, e2))
-                    if e12 != e21:
-                        return False
+            a, b = cocycles[s], cocycles[t]
+            if cup(a, b) != cup(b, a).scale((-1) ** (s * t)):
+                return False
     return True
 
 
 def verify_associativity(n, field, total_deg_max):
-    """(a * b) * c = a * (b * c) over all triples of basis classes with
-    total degree <= total_deg_max."""
+    """(a * b) * c = a * (b * c) for classes of total degree <= total_deg_max.
+
+    The sign rule is checked once on every triple of monomials, and cup
+    itself on one test cocycle per degree for every such degree triple."""
     if field.char == 2:
         raise ValueError("use the characteristic-2 structure check instead")
-    table = _merge_table(n)
+    mons = [mono.indices for mono in monomials(n)]
+    for a, b, c in product(mons, repeat=3):
+        if _bracketed(a, b, c, True) != _bracketed(a, b, c, False):
+            return False
+    cocycles = [_test_cocycle(n, m, field) for m in range(total_deg_max + 1)]
     for s in range(total_deg_max + 1):
         for t in range(total_deg_max + 1 - s):
             for u in range(total_deg_max + 1 - s - t):
-                for l1, e1 in _basis_terms(n, s, True):
-                    for l2, e2 in _basis_terms(n, t, True):
-                        r12 = table[(l1, l2)]
-                        for l3, e3 in _basis_terms(n, u, True):
-                            if r12 is None:
-                                lk = None
-                            else:
-                                r = table[(r12[1], l3)]
-                                lk = None if r is None else (r12[0] * r[0], r[1])
-                            r23 = table[(l2, l3)]
-                            if r23 is None:
-                                rk = None
-                            else:
-                                r = table[(l1, r23[1])]
-                                rk = None if r is None else (r23[0] * r[0], r[1])
-                            if lk != rk:
-                                return False
-                            if lk is not None:
-                                el = tuple((x + y) + z for x, y, z in zip(e1, e2, e3))
-                                er = tuple(x + (y + z) for x, y, z in zip(e1, e2, e3))
-                                if el != er:
-                                    return False
+                a, b, c = cocycles[s], cocycles[t], cocycles[u]
+                if cup(cup(a, b), c) != cup(a, cup(b, c)):
+                    return False
     return True
 
 
@@ -623,19 +620,16 @@ def char2_ring_check(n, deg_max, field):
     polynomial-style product: monomial union when disjoint else zero,
     exponents added; in particular the ring is commutative.
     """
-    from .complexes import chain_matrix, cochain_matrix as _cm
-
     if field.char != 2:
         raise ValueError("this check is only meaningful in characteristic 2")
     diffs_vanish = all(
-        _cm(n, m, field).matrix.is_zero() for m in range(deg_max + 1)
+        cochain_matrix(n, m, field).is_zero() for m in range(deg_max + 1)
     ) and all(
-        chain_matrix(n, m, field).matrix.is_zero() for m in range(1, deg_max + 2)
+        chain_matrix(n, m, field).is_zero() for m in range(1, deg_max + 2)
     )
     dims_full = all(
         hhc_dim_computed(n, m, field) == chain_dim(n, m) for m in range(deg_max + 1)
     )
-    table = _merge_table(n)
     product_ok = True
     commutative = True
     for s in range(deg_max + 1):

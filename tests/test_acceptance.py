@@ -98,9 +98,9 @@ def test_criterion_03_char2_branch():
     ok = True
     for n in (2, 3, 4):
         for m in range(1, 8):
-            ok = ok and chain_matrix(n, m, field).matrix.is_zero()
+            ok = ok and chain_matrix(n, m, field).is_zero()
         for m in range(7):
-            ok = ok and cochain_matrix(n, m, field).matrix.is_zero()
+            ok = ok and cochain_matrix(n, m, field).is_zero()
         for m in range(7):
             full = 2 ** n * binom(n + m - 1, n - 1)
             ok = ok and hh_dim_computed(n, m, field) == full

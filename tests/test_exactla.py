@@ -12,7 +12,6 @@ from hhext.exactla import (
     SparseMatrix,
     SpanBasis,
     field_of_char,
-    in_span,
     kernel_basis,
     _is_prime,
     rank,
@@ -148,14 +147,6 @@ def test_span_basis_membership():
     assert sb.rank == 2
     assert sb.contains({0: Fraction(5), 1: Fraction(-1)})
     assert not sb.contains({2: Fraction(1)})
-
-
-def test_in_span():
-    basis = [{0: Fraction(1), 1: Fraction(2)}, {1: Fraction(1)}]
-    assert in_span({0: Fraction(3)}, basis)
-    assert not in_span({2: Fraction(1)}, basis)
-    with pytest.raises(ValueError):
-        in_span({5: Fraction(1)}, basis, dim=3)
 
 
 def test_from_columns_roundtrip():

@@ -10,9 +10,7 @@ from hhext.exterior import (
     commutator_quotient_dim,
     merge_signed,
     monomials,
-    mu_count,
     mult,
-    signed_append,
 )
 
 
@@ -30,20 +28,6 @@ def test_monomials_order_is_length_lex():
     got = [m.indices for m in monomials(3)]
     assert got == [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
     assert len(monomials(4)) == 16
-
-
-def test_mu_count():
-    m = ExtMonomial(4, (1, 3))
-    assert [mu_count(m, h) for h in (1, 2, 3, 4)] == [0, 1, 1, 2]
-
-
-def test_signed_append():
-    m = ExtMonomial(3, (2,))
-    assert signed_append(m, 2) is None
-    sign, res = signed_append(m, 1)
-    assert (sign, res.indices) == (1, (1, 2))
-    sign, res = signed_append(m, 3)
-    assert (sign, res.indices) == (-1, (2, 3))
 
 
 def test_merge_signed():

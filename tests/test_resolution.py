@@ -4,8 +4,8 @@ import pytest
 
 from hhext.formulas import binom
 from hhext.resolution import (
-    ResolutionGeneratorMap,
     exponent_vectors,
+    generator_map,
     generator_polynomial,
     observed_coefficients,
     verify_delta_squared_zero,
@@ -68,10 +68,10 @@ def test_differential_squares_to_zero():
 
 def test_generator_map_counts():
     """Each summand pair appears once per support index of the exponent."""
-    gm = ResolutionGeneratorMap(2, 2)
-    assert set(gm.entries) == {(0, 2), (1, 1), (2, 0)}
-    assert len(gm.entries[(1, 1)]) == 4
-    assert len(gm.entries[(2, 0)]) == 2
+    gm = generator_map(2, 2)
+    assert set(gm) == {(0, 2), (1, 1), (2, 0)}
+    assert len(gm[(1, 1)]) == 4
+    assert len(gm[(2, 0)]) == 2
 
 
 def test_validation():

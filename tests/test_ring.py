@@ -2,7 +2,9 @@
 
 import pytest
 
+from hhext import ring
 from hhext.exactla import GF, QQ
+from hhext.exterior import merge_signed
 from hhext.ring import (
     CochainVector,
     CohomologyError,
@@ -122,6 +124,59 @@ def test_graded_commutativity_and_associativity():
     assert verify_associativity(2, QQ, 4)
     assert verify_graded_commutativity(3, QQ, 3)
     assert verify_associativity(3, QQ, 3)
+    # the cup checks run on cocycles with several terms, not basis classes
+    for field in (QQ, GF(3)):
+        for m in range(5):
+            v = ring._test_cocycle(4, m, field)
+            assert is_cocycle(v) and len(v.terms) == 8
+
+
+def _mutant_cup(drop_sign=False, square_left=False):
+    """A cup product with one planted defect: the merge sign ignored, or
+    the left coefficient squared in place of the product."""
+    def mutant(a, b):
+        F = a.field
+        out = {}
+        for (l1, e1), c1 in a.terms.items():
+            for (l2, e2), c2 in b.terms.items():
+                res = merge_signed(l1, l2)
+                if res is None:
+                    continue
+                v = F.mul(c1, c1 if square_left else c2)
+                if res[0] < 0 and not drop_sign:
+                    v = F.neg(v)
+                key = (res[1], tuple(x + y for x, y in zip(e1, e2)))
+                out[key] = F.add(out.get(key, F.zero), v)
+        return CochainVector(a.n, a.m + b.m, F, out)
+    return mutant
+
+
+def _flipped_merge(a, b):
+    """merge_signed with the sign flipped for degree-2 by degree-1 monomials."""
+    res = merge_signed(a, b)
+    if res is not None and len(a) == 2 and len(b) == 1:
+        return -res[0], res[1]
+    return res
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF3"])
+def test_planted_defects_fail_structure_checks(monkeypatch, field):
+    """Each planted defect turns its check false at n = 4, deg_max = 4.
+    The checks cache nothing that holds products, so a patched ``cup`` or
+    ``merge_signed`` is what they compute with."""
+    n, deg_max = 4, 4
+    assert verify_graded_commutativity(n, field, deg_max)
+    assert verify_associativity(n, field, deg_max)
+    with monkeypatch.context() as mp:
+        mp.setattr(ring, "cup", _mutant_cup(drop_sign=True))
+        assert not verify_graded_commutativity(n, field, deg_max)
+    with monkeypatch.context() as mp:
+        mp.setattr(ring, "cup", _mutant_cup(square_left=True))
+        assert not verify_associativity(n, field, deg_max)
+    with monkeypatch.context() as mp:
+        mp.setattr(ring, "merge_signed", _flipped_merge)
+        assert not verify_graded_commutativity(n, field, deg_max)
+        assert not verify_associativity(n, field, deg_max)
 
 
 def test_specific_anticommutation():

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 
 from .exactla import SparseMatrix, rank
 from .exterior import check_n, merge_signed, monomials
@@ -26,7 +26,7 @@ DEFAULT_ORACLE_CAP = 50000
 
 
 class OracleInfeasibleError(Exception):
-    """Raised when the bar oracle would need a matrix beyond the size cap."""
+    """Raised when the bar oracle would need a term beyond the size cap."""
 
 
 @lru_cache(maxsize=None)
@@ -266,149 +266,185 @@ def verify_d_squared_zero(n, m_max, field):
 
 
 # ---------------------------------------------------------------------------
-# Reduced bar complex oracle.
-
-
-@lru_cache(maxsize=None)
-def _nonunit_monomials(n):
-    check_n(n)
-    return tuple(m.indices for m in monomials(n) if m.indices)
-
-
-@lru_cache(maxsize=None)
-def _all_monomials(n):
-    return tuple(m.indices for m in monomials(n))
+# Reduced bar complex oracle.  Monomials are bitmasks here (bit h - 1 for
+# the generator h), and nothing of the resolution above is used.  Products
+# of squarefree monomials vanish or keep every generator count, so the
+# chain differential keeps the generator-count vector of a whole tuple
+# (a0, a1, ..., am), and the cochain differential keeps the counts of the
+# argument word minus those of the value.  Both are block diagonal by that
+# vector; their ranks are sums of block ranks, each block built and ranked
+# on its own.
 
 
 def bar_chain_dim(n, m):
     return 2 ** n * (2 ** n - 1) ** m
 
 
-@lru_cache(maxsize=None)
-def _bar_chain_basis(n, m):
-    """Basis of the degree-m reduced Hochschild chain term: a coefficient
-    monomial followed by m nonunit monomials."""
-    return tuple(
-        (a0,) + rest
-        for a0 in _all_monomials(n)
-        for rest in product(_nonunit_monomials(n), repeat=m)
-    )
+def _bar_products(n):
+    """Product table of the monomials: ``table[a][b]`` is None when a and
+    b share a generator, else (sign, a | b)."""
+    check_n(n)
+    idx = [tuple(h + 1 for h in range(n) if a >> h & 1) for a in range(2 ** n)]
+    return [[None if a & b else (merge_signed(idx[a], idx[b])[0], a | b)
+             for b in range(2 ** n)] for a in range(2 ** n)]
 
 
-@lru_cache(maxsize=None)
-def _bar_chain_index(n, m):
-    return {t: i for i, t in enumerate(_bar_chain_basis(n, m))}
-
-
-@lru_cache(maxsize=None)
-def bar_chain_matrix(n, m, field):
-    """Degree-m differential of the reduced Hochschild chain complex:
-    alternating sum of adjacent products, with the last slot wrapping
-    around onto the coefficient.  Interior products of nonunit monomials
-    are never the unit, so no extra normalization is needed.
-    """
+def _bar_chain_rule(n, m):
+    """Column rule of the degree-m reduced Hochschild chain differential:
+    a tuple t = (a0, a1, ..., am), coefficient a0 and nonunit a1..am, goes
+    to {target tuple: integer coefficient}, the alternating sum of
+    adjacent products with the last slot wrapping around onto a0.
+    Interior products of nonunit monomials are never the unit, so no
+    extra normalization is needed."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    domain = _bar_chain_basis(n, m)
-    rows = _bar_chain_index(n, m - 1)
-    entries = {}
-    for col, t in enumerate(domain):
-        acc = {}
+    prod = _bar_products(n)
 
-        def put(target, s):
-            acc[target] = acc.get(target, 0) + s
-
-        res = merge_signed(t[0], t[1])
-        if res is not None:
-            put((res[1],) + t[2:], res[0])
+    def column(t):
+        col = defaultdict(int)
+        res = prod[t[0]][t[1]]
+        if res:
+            col[(res[1],) + t[2:]] += res[0]
         for i in range(1, m):
-            res = merge_signed(t[i], t[i + 1])
-            if res is not None:
-                put(t[:i] + (res[1],) + t[i + 2:], (-1) ** i * res[0])
-        res = merge_signed(t[m], t[0])
-        if res is not None:
-            put((res[1],) + t[1:m], (-1) ** m * res[0])
-        for target, s in acc.items():
-            v = field.of(s)
-            if v != field.zero:
-                entries[(rows[target], col)] = v
-    return SparseMatrix(len(rows), len(domain), field, entries)
+            res = prod[t[i]][t[i + 1]]
+            if res:
+                col[t[:i] + (res[1],) + t[i + 2:]] += (-1) ** i * res[0]
+        res = prod[t[m]][t[0]]
+        if res:
+            col[(res[1],) + t[1:m]] += (-1) ** m * res[0]
+        return col
+    return column
 
 
-@lru_cache(maxsize=None)
-def _bar_cochain_basis(n, m):
-    """Basis of degree-m reduced Hochschild cochains: an argument tuple of
-    m nonunit monomials together with a value monomial."""
-    return tuple(
-        (w, b)
-        for w in product(_nonunit_monomials(n), repeat=m)
-        for b in _all_monomials(n)
-    )
-
-
-@lru_cache(maxsize=None)
-def _bar_cochain_index(n, m):
-    return {t: i for i, t in enumerate(_bar_cochain_basis(n, m))}
-
-
-@lru_cache(maxsize=None)
-def _splits(word):
-    """All ways to split an increasing index tuple into two nonempty
-    disjoint increasing tuples, with the sign of reassembling them."""
-    out = []
-    positions = range(len(word))
-    for k in range(1, len(word)):
-        for S in combinations(positions, k):
-            u = tuple(word[i] for i in S)
-            v = tuple(word[i] for i in positions if i not in S)
-            sign, merged = merge_signed(u, v)
-            out.append((u, v, sign))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def bar_cochain_matrix(n, m, field):
-    """Differential from degree-m to degree-(m+1) reduced Hochschild
-    cochains: left action on the value, alternating interior splits of
-    the argument slots, and signed right action.
-    """
+def _bar_cochain_rule(n, m):
+    """Column rule of the reduced Hochschild cochain differential from
+    degree m to m + 1: a cochain (w, b), argument word w of m nonunit
+    monomials and value b, goes to {target cochain: integer coefficient},
+    the left action on the value, the alternating splits of the argument
+    slots, and the signed right action."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    domain = _bar_cochain_basis(n, m)
-    rows = _bar_cochain_index(n, m + 1)
-    nonunit = _nonunit_monomials(n)
-    entries = {}
-    for col, (w, b) in enumerate(domain):
-        acc = {}
+    prod = _bar_products(n)
+    splits = [[] for _ in prod]
+    for u in range(1, len(prod)):
+        for v in range(1, len(prod)):
+            if prod[u][v]:
+                sign, uv = prod[u][v]
+                splits[uv].append((u, v, sign))
 
-        def put(target, s):
-            acc[target] = acc.get(target, 0) + s
-
-        for a in nonunit:
-            res = merge_signed(a, b)
-            if res is not None:
-                put(((a,) + w, res[1]), res[0])
-            res = merge_signed(b, a)
-            if res is not None:
-                put((w + (a,), res[1]), (-1) ** (m + 1) * res[0])
+    def column(key):
+        w, b = key
+        col = defaultdict(int)
+        for a in range(1, len(prod)):
+            res = prod[a][b]
+            if res:
+                col[((a,) + w, res[1])] += res[0]
+            res = prod[b][a]
+            if res:
+                col[(w + (a,), res[1])] += (-1) ** (m + 1) * res[0]
         for i in range(1, m + 1):
-            for u, v, sign in _splits(w[i - 1]):
-                put((w[:i - 1] + (u, v) + w[i:], b), (-1) ** i * sign)
-        for target, s in acc.items():
-            val = field.of(s)
-            if val != field.zero:
-                entries[(rows[target], col)] = val
+            for u, v, sign in splits[w[i - 1]]:
+                col[(w[:i - 1] + (u, v) + w[i:], b)] += (-1) ** i * sign
+        return col
+    return column
+
+
+def _shift_counts(c, a, d):
+    """The count vector c with d added at every generator of the monomial a."""
+    return tuple(x + d * (a >> h & 1) for h, x in enumerate(c))
+
+
+def _bar_words(n, m):
+    """The m-tuples of nonunit monomials, bucketed by generator-count vector."""
+    words = {(0,) * n: [()]}
+    for _ in range(m):
+        longer = defaultdict(list)
+        for c, ws in words.items():
+            for a in range(1, 2 ** n):
+                longer[_shift_counts(c, a, 1)].extend(w + (a,) for w in ws)
+        words = longer
+    return words
+
+
+def _chain_key(a0, w):
+    return (a0,) + w
+
+
+def _cochain_key(b, w):
+    return (w, b)
+
+
+def _bar_matrix(domain, column, field, rows=None):
+    """Matrix whose columns are ``column(key)`` for the domain keys, with
+    target keys numbered by the mapping ``rows``.  Without one, the rows
+    are the targets the columns reach, numbered in order of first use."""
+    if rows is None:
+        rows = defaultdict()
+        rows.default_factory = rows.__len__
+    entries = {}
+    for c, key in enumerate(domain):
+        for target, s in column(key).items():
+            v = field.of(s)
+            if v != field.zero:
+                entries[(rows[target], c)] = v
     return SparseMatrix(len(rows), len(domain), field, entries)
+
+
+def _bar_keys(n, m, key):
+    """Every degree-m key: a monomial with a word of m nonunit monomials."""
+    return [key(a, w) for words in _bar_words(n, m).values()
+            for w in words for a in range(2 ** n)]
+
+
+def bar_chain_matrix(n, m, field):
+    """Degree-m bar chain differential as one matrix over every tuple;
+    the oracle ranks it by blocks instead (bar_chain_blocks)."""
+    column = _bar_chain_rule(n, m)
+    rows = {t: i for i, t in enumerate(_bar_keys(n, m - 1, _chain_key))}
+    return _bar_matrix(_bar_keys(n, m, _chain_key), column, field, rows)
+
+
+def bar_cochain_matrix(n, m, field):
+    """Bar cochain differential from degree m to m + 1 as one matrix over
+    every cochain; the oracle ranks it by blocks (bar_cochain_blocks)."""
+    column = _bar_cochain_rule(n, m)
+    rows = {t: i for i, t in enumerate(_bar_keys(n, m + 1, _cochain_key))}
+    return _bar_matrix(_bar_keys(n, m, _cochain_key), column, field, rows)
+
+
+def _bar_blocks(n, m, key, d, column, field):
+    """Yield (domain keys, block matrix) for every generator-count block
+    of a bar differential leaving degree m.  The key of a monomial a and
+    a word w lies in the block of counts(w) + d * counts(a)."""
+    blocks = defaultdict(list)
+    for c, words in _bar_words(n, m).items():
+        for a in range(2 ** n):
+            blocks[_shift_counts(c, a, d)].append((a, words))
+    for pieces in blocks.values():
+        domain = [key(a, w) for a, words in pieces for w in words]
+        yield domain, _bar_matrix(domain, column, field)
+
+
+def bar_chain_blocks(n, m, field):
+    """Blocks of the degree-m bar chain differential: the block of the
+    count vector c holds (a0,) + w for the words w with counts c - 1_a0."""
+    return _bar_blocks(n, m, _chain_key, 1, _bar_chain_rule(n, m), field)
+
+
+def bar_cochain_blocks(n, m, field):
+    """Blocks of the bar cochain differential leaving degree m: the block
+    of v holds (w, b) for the words w with counts v + 1_b."""
+    return _bar_blocks(n, m, _cochain_key, -1, _bar_cochain_rule(n, m), field)
 
 
 @lru_cache(maxsize=None)
 def _bar_chain_rank(n, m, field):
-    return rank(bar_chain_matrix(n, m, field))
+    return sum(rank(M) for _, M in bar_chain_blocks(n, m, field))
 
 
 @lru_cache(maxsize=None)
 def _bar_cochain_rank(n, m, field):
-    return rank(bar_cochain_matrix(n, m, field))
+    return sum(rank(M) for _, M in bar_cochain_blocks(n, m, field))
 
 
 def largest_feasible_degree(n, cap=DEFAULT_ORACLE_CAP):
@@ -423,7 +459,7 @@ def largest_feasible_degree(n, cap=DEFAULT_ORACLE_CAP):
 def bar_oracle_dims(n, m_max, field, cap=DEFAULT_ORACLE_CAP):
     """Hochschild homology and cohomology dimensions up to m_max from the
     reduced bar complex alone.  Returns a list of (m, homology dim,
-    cohomology dim).  Refuses to start if the largest matrix side
+    cohomology dim).  Refuses to start if the largest term dimension
     2^n (2^n - 1)^(m_max + 1) exceeds the cap.
     """
     worst = bar_chain_dim(n, m_max + 1)

@@ -50,6 +50,8 @@ class RationalField:
     char = 0
 
     def of(self, x):
+        if type(x) is Fraction:
+            return x
         return Fraction(x)
 
     zero = Fraction(0)
@@ -92,6 +94,8 @@ class PrimeField:
         self.one = 1 % p
 
     def of(self, x):
+        if type(x) is int:
+            return x % self.p
         if isinstance(x, Fraction):
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
         return x % self.p

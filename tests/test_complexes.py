@@ -1,5 +1,6 @@
 """Chain/cochain matrices, dimension computations, bar oracle."""
 
+import inspect
 from collections import Counter
 
 import pytest
@@ -12,11 +13,15 @@ from hhext.formulas import (
     chain_rank_terms,
     cochain_rank_double_sum,
     cochain_rank_terms,
+    hh_dim_formula,
+    hhc_dim_formula,
 )
 from hhext.complexes import (
     OracleInfeasibleError,
+    bar_chain_blocks,
     bar_chain_dim,
     bar_chain_matrix,
+    bar_cochain_blocks,
     bar_cochain_matrix,
     bar_oracle_dims,
     chain_basis,
@@ -180,6 +185,61 @@ def test_bar_differential_squares_to_zero():
     for m in (0, 1):
         prod = bar_cochain_matrix(2, m + 1, QQ).matmul(bar_cochain_matrix(2, m, QQ))
         assert prod.is_zero()
+
+
+BAR_SIZES = ((2, 5), (3, 3), (4, 2))
+
+
+def test_bar_blocks_partition_the_global_matrices():
+    """The generator-count blocks cover every bar chain and cochain
+    exactly once, and their ranks and nonzeros sum to the global ones."""
+    for field in FIELDS:
+        for n, m_max in BAR_SIZES:
+            for m in range(m_max + 1):
+                pairs = [(bar_cochain_blocks, bar_cochain_matrix(n, m, field))]
+                if m >= 1:
+                    pairs.append((bar_chain_blocks, bar_chain_matrix(n, m, field)))
+                for blocks, full in pairs:
+                    got = list(blocks(n, m, field))
+                    keys = [key for domain, _ in got for key in domain]
+                    assert len(set(keys)) == len(keys) == bar_chain_dim(n, m)
+                    assert sum(rank(M) for _, M in got) == rank(full), (n, m, field)
+                    assert sum(M.nnz() for _, M in got) == full.nnz(), (n, m, field)
+
+
+# Each sign of the two bar column rules, as written in the rule's source,
+# and the side of the oracle that goes through it.
+BAR_SIGNS = {
+    "chain-interior": ("_bar_chain_rule", "(-1) ** i * res[0]", "hh"),
+    "chain-wrap-around": ("_bar_chain_rule", "(-1) ** m * res[0]", "hh"),
+    "cochain-right-action": ("_bar_cochain_rule", "(-1) ** (m + 1) * res[0]", "hhc"),
+    "cochain-split": ("_bar_cochain_rule", "(-1) ** i * sign", "hhc"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(BAR_SIGNS))
+def test_dropped_bar_sign_breaks_the_oracle(monkeypatch, mutant):
+    """With one sign of a bar column rule dropped, the oracle leaves the
+    closed formulas in degrees 1 and 2 on the side that uses the rule,
+    and only there.  The mutant is the rule's own source minus the sign."""
+    name, sign, side = BAR_SIGNS[mutant]
+    source = inspect.getsource(getattr(complexes, name))
+    assert source.count(sign) == 1
+    namespace = {}
+    exec(source.replace(sign, sign.split(" * ")[1]), vars(complexes), namespace)
+    monkeypatch.setattr(complexes, name, namespace[name])
+    try:
+        for field in (QQ, GF(3)):
+            complexes._bar_chain_rank.cache_clear()
+            complexes._bar_cochain_rank.cache_clear()
+            for m, h, c in bar_oracle_dims(3, 2, field):
+                agrees = {"hh": h == hh_dim_formula(3, m, field.char),
+                          "hhc": c == hhc_dim_formula(3, m, field.char)}
+                assert not agrees.pop(side) or m == 0, (m, field)
+                assert all(agrees.values()), (m, field)
+    finally:
+        complexes._bar_chain_rank.cache_clear()
+        complexes._bar_cochain_rank.cache_clear()
 
 
 def test_bar_oracle_n2():

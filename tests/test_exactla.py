@@ -65,6 +65,14 @@ def test_field_of_char():
     assert field_of_char(5) is GF(5)
 
 
+def test_field_of_converts_scalars():
+    f = Fraction(2, 3)
+    assert QQ.of(f) is f
+    assert QQ.of(3) == Fraction(3) and type(QQ.of(3)) is Fraction
+    assert GF(3).of(-1) == 2
+    assert GF(3).of(Fraction(1, 2)) == 2
+
+
 def test_sparse_matrix_drops_zeros_and_validates():
     M = SparseMatrix(2, 2, QQ, {(0, 0): Fraction(1), (1, 1): Fraction(0)})
     assert M.nnz() == 1

@@ -88,6 +88,26 @@ def test_cohomology_basis_independent():
             assert verify_cohomology_basis(n, m, QQ)
 
 
+def test_cohomology_basis_check_copies_the_coboundary_span(monkeypatch):
+    """The check starts from the cached coboundary span: a basis vector
+    shifted by a coboundary still passes, a repeated one fails, and the
+    cached span is left as it was."""
+    n, m = 3, 2
+    basis = cohomology_basis(n, m, QQ)
+    span = ring._image_span(n, m, QQ)
+    before = span.rank
+    boundary = apply_differential(
+        CochainVector(n, m - 1, QQ, {((), (1, 0, 0)): QQ.one}))
+    assert not boundary.is_zero()
+    shifted = [basis[0].add(boundary)] + basis[1:]
+    monkeypatch.setattr(ring, "cohomology_basis", lambda *args: shifted)
+    assert verify_cohomology_basis(n, m, QQ)
+    repeated = [basis[0], basis[0]] + basis[2:]
+    monkeypatch.setattr(ring, "cohomology_basis", lambda *args: repeated)
+    assert not verify_cohomology_basis(n, m, QQ)
+    assert ring._image_span(n, m, QQ) is span and span.rank == before
+
+
 def test_degree_zero_basis_is_center():
     keys = [next(iter(v.terms))[0] for v in cohomology_basis(3, 0, QQ)]
     assert keys == [(), (1, 2), (1, 3), (2, 3), (1, 2, 3)]

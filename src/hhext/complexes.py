@@ -1,10 +1,11 @@
 """Chain and cochain complexes computing Hochschild (co)homology dimensions.
 
 The degree-m term is the exterior algebra tensored with the degree-m
-commutative monomials; basis elements are pairs (monomial, exponent
-vector), ordered monomial-major (length-lex on the monomial, then lex on
-the exponent vector).  That ordering is fixed so reports are byte-stable.
-Ranks never need that global basis: both differentials are block diagonal
+commutative monomials; its basis elements are keyed by pairs (monomial
+index tuple, exponent vector).  Each differential is written once, as a
+column rule from a key to {target key: value}; ``exactla.keyed_matrix``
+turns a rule into a matrix and ``exactla.apply`` maps vectors through it.
+Ranks never need a global basis: both differentials are block diagonal
 by a Z^n weight, and each block is built and ranked on its own.
 
 A reduced bar complex provides an independent oracle for the same
@@ -17,7 +18,7 @@ from collections import defaultdict
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
-from .exactla import SparseMatrix, rank
+from .exactla import apply, keyed_matrix, rank
 from .exterior import check_n, merge_signed, monomials
 from .formulas import binom
 from .resolution import exponent_vectors
@@ -29,20 +30,10 @@ class OracleInfeasibleError(Exception):
     """Raised when the bar oracle would need a term beyond the size cap."""
 
 
-@lru_cache(maxsize=None)
-def chain_basis(n, m):
-    """Ordered basis of the degree-m chain/cochain term: all pairs
-    (basis monomial, exponent vector of degree m)."""
-    return tuple(
-        (mono, e) for mono in monomials(n) for e in exponent_vectors(n, m)
-    )
-
-
-@lru_cache(maxsize=None)
-def _chain_index(n, m):
-    return {
-        (mono.indices, e): i for i, (mono, e) in enumerate(chain_basis(n, m))
-    }
+def chain_keys(n, m):
+    """Every key (monomial indices, exponent vector) of the degree-m term."""
+    return [(mono.indices, e) for mono in monomials(n)
+            for e in exponent_vectors(n, m)]
 
 
 def chain_dim(n, m):
@@ -86,74 +77,48 @@ def _insertions(idx, n, signed):
     return out
 
 
-def chain_entries(idx, e, signed):
-    """Column of the chain differential at (idx, e), its factor given as
-    the pair ``signed`` = (factor, -factor): ((idx + h, e - h),
-    factor * (-1)^mu) for each h in the support of e outside idx."""
-    return [
-        ((t, e[:h - 1] + (e[h - 1] - 1,) + e[h:]), v)
-        for h, t, v in _insertions(idx, len(e), signed) if e[h - 1]
-    ]
+def _signed_factors(factor_of, n, m, field):
+    """Per monomial degree j, the pair (factor, -factor) of a degree-m
+    column, or None where the factor vanishes."""
+    out = []
+    for j in range(n + 1):
+        factor = factor_of(j, m, field)
+        out.append(None if factor == field.zero
+                   else (factor, field.neg(factor)))
+    return out
 
 
-def cochain_entries(idx, e, signed):
-    """Column of the cochain differential at (idx, e), its factor given
-    as the pair ``signed`` = (factor, -factor): ((idx + h, e + h),
-    factor * (-1)^mu) for each h outside idx."""
-    return [
-        ((t, e[:h - 1] + (e[h - 1] + 1,) + e[h:]), v)
-        for h, t, v in _insertions(idx, len(e), signed)
-    ]
+def chain_column(n, m, field):
+    """Column rule of the degree-m chain differential, lowering exponent
+    degree m to m - 1: (idx, e) goes to {(idx + h, e - h): factor *
+    (-1)^mu} over the h in the support of e outside idx, the factor
+    being chain_factor(len(idx), m)."""
+    signed = _signed_factors(chain_factor, n, m, field)
+
+    def column(key):
+        idx, e = key
+        pair = signed[len(idx)]
+        if pair is None:
+            return {}
+        return {(t, e[:h - 1] + (e[h - 1] - 1,) + e[h:]): v
+                for h, t, v in _insertions(idx, n, pair) if e[h - 1]}
+    return column
 
 
-def _matrix(domain, factor_of, entries_of, m, field, rows=None):
-    """Matrix of a differential on the domain keys (idx, e), with target
-    keys numbered by the mapping ``rows``.  Without one, the rows are the
-    targets the columns reach, numbered in order of first use, as for a
-    weight block."""
-    if rows is None:
-        rows = defaultdict()
-        rows.default_factory = rows.__len__
-    signed = {}
-    entries = {}
-    for col, (idx, e) in enumerate(domain):
-        j = len(idx)
-        if j not in signed:
-            factor = factor_of(j, m, field)
-            signed[j] = (None if factor == field.zero
-                         else (factor, field.neg(factor)))
-        if signed[j] is not None:
-            for key, v in entries_of(idx, e, signed[j]):
-                entries[(rows[key], col)] = v
-    return SparseMatrix(len(rows), len(domain), field, entries)
+def cochain_column(n, m, field):
+    """Column rule of the cochain differential raising exponent degree m
+    to m + 1: (idx, e) goes to {(idx + h, e + h): factor * (-1)^mu} over
+    the h outside idx, the factor being cochain_factor(len(idx), m)."""
+    signed = _signed_factors(cochain_factor, n, m, field)
 
-
-@lru_cache(maxsize=None)
-def chain_matrix(n, m, field):
-    """The degree-m chain differential, lowering exponent degree m to
-    m-1: columns in the order of chain_basis(n, m), rows in that of
-    chain_basis(n, m - 1); its columns come from chain_factor and
-    chain_entries."""
-    check_n(n)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    keys = [(mono.indices, e) for mono, e in chain_basis(n, m)]
-    return _matrix(keys, chain_factor, chain_entries, m, field,
-                   _chain_index(n, m - 1))
-
-
-@lru_cache(maxsize=None)
-def cochain_matrix(n, m, field):
-    """The cochain differential raising exponent degree m to m+1:
-    columns in the order of chain_basis(n, m), rows in that of
-    chain_basis(n, m + 1); its columns come from cochain_factor and
-    cochain_entries."""
-    check_n(n)
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    keys = [(mono.indices, e) for mono, e in chain_basis(n, m)]
-    return _matrix(keys, cochain_factor, cochain_entries, m, field,
-                   _chain_index(n, m + 1))
+    def column(key):
+        idx, e = key
+        pair = signed[len(idx)]
+        if pair is None:
+            return {}
+        return {(t, e[:h - 1] + (e[h - 1] + 1,) + e[h:]): v
+                for h, t, v in _insertions(idx, n, pair)}
+    return column
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +147,7 @@ def chain_blocks(n, m, field):
     check_n(n)
     if m < 1:
         raise ValueError("m must be >= 1")
+    column = chain_column(n, m, field)
     for s in range(1, n + 1):
         for j in range(max(0, s - m), s + 1):
             if chain_factor(j, m, field) == field.zero:
@@ -191,8 +157,7 @@ def chain_blocks(n, m, field):
                     w = _shift((0,) * n, support + extra, 1)
                     domain = [(S, _shift(w, S, -1))
                               for S in combinations(support, j)]
-                    yield domain, _matrix(domain, chain_factor,
-                                          chain_entries, m, field)
+                    yield domain, keyed_matrix(domain, column, field)
 
 
 def cochain_blocks(n, m, field):
@@ -207,6 +172,7 @@ def cochain_blocks(n, m, field):
     if m < 0:
         raise ValueError("m must be >= 0")
     gens = range(1, n + 1)
+    column = cochain_column(n, m, field)
     for j in range(n + 1):
         if cochain_factor(j, m, field) == field.zero:
             continue
@@ -219,8 +185,7 @@ def cochain_blocks(n, m, field):
                         (tuple(sorted(minus + S)), _shift(base, S, 1))
                         for S in combinations(rest, j - t)
                     ]
-                    yield domain, _matrix(domain, cochain_factor,
-                                          cochain_entries, m, field)
+                    yield domain, keyed_matrix(domain, column, field)
 
 
 @lru_cache(maxsize=None)
@@ -252,17 +217,15 @@ def hhc_dim_computed(n, m, field):
 
 
 def verify_d_squared_zero(n, m_max, field):
-    """Consecutive chain and cochain differentials compose to zero, as
-    exact matrix products, for every degree within m_max."""
-    for m in range(1, m_max):
-        prod = chain_matrix(n, m, field).matmul(chain_matrix(n, m + 1, field))
-        if not prod.is_zero():
-            return False
-    for m in range(1, m_max + 1):
-        prod = cochain_matrix(n, m, field).matmul(cochain_matrix(n, m - 1, field))
-        if not prod.is_zero():
-            return False
-    return True
+    """Consecutive chain and cochain differentials compose to zero for
+    every degree within m_max: applying both to any key gives 0."""
+    pairs = [(chain_column(n, m, field), chain_column(n, m + 1, field), m + 1)
+             for m in range(1, m_max)]
+    pairs += [(cochain_column(n, m, field), cochain_column(n, m - 1, field),
+               m - 1) for m in range(1, m_max + 1)]
+    return not any(
+        apply(outer, apply(inner, {key: field.one}, field), field)
+        for outer, inner, d in pairs for key in chain_keys(n, d))
 
 
 # ---------------------------------------------------------------------------
@@ -374,44 +337,6 @@ def _cochain_key(b, w):
     return (w, b)
 
 
-def _bar_matrix(domain, column, field, rows=None):
-    """Matrix whose columns are ``column(key)`` for the domain keys, with
-    target keys numbered by the mapping ``rows``.  Without one, the rows
-    are the targets the columns reach, numbered in order of first use."""
-    if rows is None:
-        rows = defaultdict()
-        rows.default_factory = rows.__len__
-    entries = {}
-    for c, key in enumerate(domain):
-        for target, s in column(key).items():
-            v = field.of(s)
-            if v != field.zero:
-                entries[(rows[target], c)] = v
-    return SparseMatrix(len(rows), len(domain), field, entries)
-
-
-def _bar_keys(n, m, key):
-    """Every degree-m key: a monomial with a word of m nonunit monomials."""
-    return [key(a, w) for words in _bar_words(n, m).values()
-            for w in words for a in range(2 ** n)]
-
-
-def bar_chain_matrix(n, m, field):
-    """Degree-m bar chain differential as one matrix over every tuple;
-    the oracle ranks it by blocks instead (bar_chain_blocks)."""
-    column = _bar_chain_rule(n, m)
-    rows = {t: i for i, t in enumerate(_bar_keys(n, m - 1, _chain_key))}
-    return _bar_matrix(_bar_keys(n, m, _chain_key), column, field, rows)
-
-
-def bar_cochain_matrix(n, m, field):
-    """Bar cochain differential from degree m to m + 1 as one matrix over
-    every cochain; the oracle ranks it by blocks (bar_cochain_blocks)."""
-    column = _bar_cochain_rule(n, m)
-    rows = {t: i for i, t in enumerate(_bar_keys(n, m + 1, _cochain_key))}
-    return _bar_matrix(_bar_keys(n, m, _cochain_key), column, field, rows)
-
-
 def _bar_blocks(n, m, key, d, column, field):
     """Yield (domain keys, block matrix) for every generator-count block
     of a bar differential leaving degree m.  The key of a monomial a and
@@ -422,7 +347,7 @@ def _bar_blocks(n, m, key, d, column, field):
             blocks[_shift_counts(c, a, d)].append((a, words))
     for pieces in blocks.values():
         domain = [key(a, w) for a, words in pieces for w in words]
-        yield domain, _bar_matrix(domain, column, field)
+        yield domain, keyed_matrix(domain, column, field)
 
 
 def bar_chain_blocks(n, m, field):

@@ -143,10 +143,10 @@ def field_of_char(char):
 
 
 class SparseMatrix:
-    """Immutable sparse matrix over an exact field.
+    """Sparse matrix over an exact field, built only by ``keyed_matrix``.
 
-    Entries are a dict (row, col) -> nonzero scalar.  Mutating helpers all
-    work on copies; rank and kernel never touch the original.
+    ``entries[r]`` is row r as a dict {col: nonzero scalar}; no row is
+    empty.  Nothing here mutates it; rank works on a copy.
     """
 
     __slots__ = ("rows", "cols", "field", "entries")
@@ -155,107 +155,52 @@ class SparseMatrix:
         self.rows = rows
         self.cols = cols
         self.field = field
-        clean = {}
-        for (r, c), v in entries.items():
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry ({r},{c}) out of bounds for {rows}x{cols}")
-            v = field.of(v)
-            if v != field.zero:
-                clean[(r, c)] = v
-        self.entries = clean
-
-    @classmethod
-    def from_columns(cls, rows, cols, field, columns):
-        """Build from an iterable of (col index, {row: value}) pairs."""
-        entries = {}
-        for c, coldict in columns:
-            for r, v in coldict.items():
-                entries[(r, c)] = v
-        return cls(rows, cols, field, entries)
+        self.entries = entries
 
     def nnz(self):
-        return len(self.entries)
-
-    def is_zero(self):
-        return not self.entries
-
-    def transpose(self):
-        return SparseMatrix(
-            self.cols, self.rows, self.field,
-            {(c, r): v for (r, c), v in self.entries.items()},
-        )
-
-    def row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
-    def col_dict(self, c):
-        out = {}
-        for (r, cc), v in self.entries.items():
-            if cc == c:
-                out[r] = v
-        return out
-
-    def columns(self):
-        """All columns as dicts, indexed 0..cols-1 (zero columns included)."""
-        cols = [dict() for _ in range(self.cols)]
-        for (r, c), v in self.entries.items():
-            cols[c][r] = v
-        return cols
-
-    def mul_vec(self, vec):
-        """Matrix times sparse column vector {col: value} -> {row: value}."""
-        F = self.field
-        out = {}
-        cols = {}
-        for (r, c), v in self.entries.items():
-            cols.setdefault(c, []).append((r, v))
-        for c, x in vec.items():
-            if c < 0 or c >= self.cols:
-                raise ValueError("vector index out of range")
-            if x == F.zero:
-                continue
-            for r, v in cols.get(c, ()):
-                s = F.add(out.get(r, F.zero), F.mul(v, x))
-                if s == F.zero:
-                    out.pop(r, None)
-                else:
-                    out[r] = s
-        return out
-
-    def matmul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        F = self.field
-        left_cols = {}
-        for (r, c), v in self.entries.items():
-            left_cols.setdefault(c, []).append((r, v))
-        out = {}
-        for (k, j), w in other.entries.items():
-            for r, v in left_cols.get(k, ()):
-                key = (r, j)
-                s = F.add(out.get(key, F.zero), F.mul(v, w))
-                if s == F.zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return SparseMatrix(self.rows, other.cols, F, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.field == other.field
-            and self.entries == other.entries
-        )
+        return sum(map(len, self.entries))
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols} over {self.field}, nnz={self.nnz()})"
+
+
+def keyed_matrix(domain, column, field):
+    """Matrix of a linear map given by a column rule.
+
+    Column c is ``column(domain[c])``, a mapping {target key: value}.  Each
+    value is converted with ``field.of`` and zeros are dropped; the target
+    keys that keep a nonzero entry become the rows, numbered in order of
+    first use.
+    """
+    of, zero = field.of, field.zero
+    index = {}
+    entries = []
+    for c, key in enumerate(domain):
+        for target, v in column(key).items():
+            v = of(v)
+            if v != zero:
+                r = index.get(target)
+                if r is None:
+                    index[target] = len(entries)
+                    entries.append({c: v})
+                else:
+                    entries[r][c] = v
+    return SparseMatrix(len(entries), len(domain), field, entries)
+
+
+def apply(column, vec, field):
+    """Image of the keyed vector {key: scalar} under the linear map with
+    the given column rule, as {target key: nonzero scalar}."""
+    add, mul, zero = field.add, field.mul, field.zero
+    out = {}
+    for key, c in vec.items():
+        for target, v in column(key).items():
+            acc = add(out.get(target, zero), mul(c, v))
+            if acc == zero:
+                out.pop(target, None)
+            else:
+                out[target] = acc
+    return out
 
 
 def rank(M):
@@ -268,11 +213,10 @@ def rank(M):
     F = M.field
     rows = {}
     col_rows = {}
-    for i, rd in enumerate(M.row_dicts()):
-        if rd:
-            rows[i] = rd
-            for c in rd:
-                col_rows.setdefault(c, set()).add(i)
+    for i, rd in enumerate(M.entries):
+        rows[i] = dict(rd)
+        for c in rd:
+            col_rows.setdefault(c, set()).add(i)
 
     heap = [(len(rs), c) for c, rs in col_rows.items()]
     heapq.heapify(heap)
@@ -316,70 +260,13 @@ def rank(M):
     return r
 
 
-def _rref(M):
-    """Reduced row echelon form; returns (pivot cols in order, rows as dicts)."""
-    F = M.field
-    rows = [rd for rd in M.row_dicts() if rd]
-    pivots = {}
-    for rd in rows:
-        rd = dict(rd)
-        while rd:
-            c = min(rd)
-            if c not in pivots:
-                inv = F.inv(rd[c])
-                rd = {cc: F.mul(v, inv) for cc, v in rd.items()}
-                pivots[c] = rd
-                break
-            prow = pivots[c]
-            factor = rd[c]
-            new = {}
-            for cc in set(rd) | set(prow):
-                v = F.sub(rd.get(cc, F.zero), F.mul(factor, prow.get(cc, F.zero)))
-                if v != F.zero:
-                    new[cc] = v
-            rd = new
-    # back-substitute so each pivot column is zero in every other row
-    for c in sorted(pivots, reverse=True):
-        prow = pivots[c]
-        for c2, row2 in pivots.items():
-            if c2 == c or c not in row2:
-                continue
-            factor = row2[c]
-            for cc, v in prow.items():
-                s = F.sub(row2.get(cc, F.zero), F.mul(factor, v))
-                if s == F.zero:
-                    row2.pop(cc, None)
-                else:
-                    row2[cc] = s
-    return sorted(pivots), pivots
-
-
-def kernel_basis(M):
-    """Basis of the null space, as sparse column vectors {index: value}.
-
-    The list has length cols - rank(M); each vector v satisfies Mv = 0
-    exactly.  Free variables are set to 1 in increasing column order.
-    """
-    F = M.field
-    pivot_cols, pivots = _rref(M)
-    free = [c for c in range(M.cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = {fc: F.one}
-        for c in pivot_cols:
-            v = pivots[c].get(fc)
-            if v is not None:
-                vec[c] = F.neg(v)
-        basis.append(vec)
-    return basis
-
-
 class SpanBasis:
     """Incremental row echelon over a field, for span membership queries.
 
-    Vectors are sparse dicts {index: value}.  ``insert`` adds a vector to
-    the span, ``reduce`` returns the residual of a vector against the
-    current span, and ``contains`` tests membership.
+    Vectors are sparse dicts {key: value} over mutually comparable keys;
+    the smallest key of a reduced vector is its pivot.  ``insert`` adds a
+    vector to the span, ``reduce`` returns the residual of a vector
+    against the current span, and ``contains`` tests membership.
     """
 
     def __init__(self, field):
@@ -391,20 +278,25 @@ class SpanBasis:
         return len(self.pivots)
 
     def reduce(self, vec):
+        """Residual of vec against the span, as a new dict; neither vec nor
+        any pivot row is changed."""
         F = self.field
-        rd = {i: v for i, v in vec.items() if v != F.zero}
+        zero = F.zero
+        rd = {i: v for i, v in vec.items() if v != zero}
         while rd:
             c = min(rd)
             prow = self.pivots.get(c)
             if prow is None:
                 return rd
-            factor = rd[c]
-            new = {}
-            for cc in set(rd) | set(prow):
-                v = F.sub(rd.get(cc, F.zero), F.mul(factor, prow.get(cc, F.zero)))
-                if v != F.zero:
-                    new[cc] = v
-            rd = new
+            factor = rd.pop(c)
+            for cc, v in prow.items():
+                if cc == c:
+                    continue
+                s = F.sub(rd.get(cc, zero), F.mul(factor, v))
+                if s == zero:
+                    rd.pop(cc, None)
+                else:
+                    rd[cc] = s
         return rd
 
     def insert(self, vec):

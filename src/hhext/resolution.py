@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
-from .exactla import QQ, SparseMatrix, SpanBasis, rank
+from .exactla import QQ, SpanBasis, keyed_matrix, rank
 from .exterior import check_n, merge_signed
 from .formulas import binom
 
@@ -139,13 +139,7 @@ def verify_generator_space_dim(n, m):
     if m < 2:
         raise ValueError("m must be >= 2")
     vecs = exponent_vectors(n, m)
-    words = {}
-    entries = {}
-    for r, e in enumerate(vecs):
-        for word, c in generator_polynomial(n, e).items():
-            col = words.setdefault(word, len(words))
-            entries[(r, col)] = c
-    M = SparseMatrix(len(vecs), len(words), QQ, entries)
+    M = keyed_matrix(vecs, lambda e: generator_polynomial(n, e), QQ)
     return rank(M) == len(vecs) == binom(n + m - 1, n - 1)
 
 

@@ -18,15 +18,13 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
 from .complexes import (
-    _chain_index,
+    chain_column,
     chain_dim,
-    chain_matrix,
-    cochain_entries,
-    cochain_factor,
-    cochain_matrix,
+    chain_keys,
+    cochain_column,
     hhc_dim_computed,
 )
-from .exactla import SpanBasis
+from .exactla import SpanBasis, apply
 from .exterior import check_n, merge_signed, monomials, center_basis
 from .formulas import binom, same_parity
 from .resolution import exponent_vectors
@@ -109,48 +107,31 @@ def unit_class(n, field):
 
 
 def apply_differential(vec):
-    """Image of the cochain under the cochain differential, one degree up:
-    each term (mono, e) with coefficient c contributes c times the
-    differential's column at (mono, e)."""
-    n, m, F = vec.n, vec.m, vec.field
-    out = {}
-    for (idx, e), c in vec.terms.items():
-        factor = cochain_factor(len(idx), m, F)
-        if factor == F.zero:
-            continue
-        base = F.mul(factor, c)
-        for key, v in cochain_entries(idx, e, (base, F.neg(base))):
-            acc = F.add(out.get(key, F.zero), v)
-            if acc == F.zero:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    return CochainVector(n, m + 1, F, out)
+    """Image of the cochain under the cochain differential, one degree up."""
+    F = vec.field
+    column = cochain_column(vec.n, vec.m, F)
+    return CochainVector(vec.n, vec.m + 1, F, apply(column, vec.terms, F))
 
 
 def is_cocycle(vec):
     return apply_differential(vec).is_zero()
 
 
-def _row_vec(vec):
-    index = _chain_index(vec.n, vec.m)
-    return {index[key]: c for key, c in vec.terms.items()}
-
-
 @lru_cache(maxsize=None)
 def _image_span(n, m, field):
-    """Echelonized span of the coboundaries in degree m (m >= 1)."""
+    """Echelonized span of the coboundaries in degree m (m >= 1), keyed
+    by (monomial indices, exponent vector)."""
     span = SpanBasis(field)
-    for col in cochain_matrix(n, m - 1, field).columns():
-        if col:
-            span.insert(col)
+    column = cochain_column(n, m - 1, field)
+    for key in chain_keys(n, m - 1):
+        span.insert(apply(column, {key: field.one}, field))
     return span
 
 
 def in_coboundary_image(vec):
     if vec.m == 0:
         return vec.is_zero()
-    return _image_span(vec.n, vec.m, vec.field).contains(_row_vec(vec))
+    return _image_span(vec.n, vec.m, vec.field).contains(vec.terms)
 
 
 def class_representative(vec):
@@ -257,7 +238,7 @@ def verify_cohomology_basis(n, m, field):
     for v in basis:
         if not is_cocycle(v):
             return False
-        if not span.insert(_row_vec(v)):
+        if not span.insert(v.terms):
             return False
     return True
 
@@ -420,13 +401,8 @@ def ring_relations_hold(n, field):
 def _basis_terms(n, m, parity_pure):
     """Single-term basis keys (indices, exponent) of degree m; restricted
     to monomial degrees of parity p(m) when parity_pure."""
-    out = []
-    for mono in monomials(n):
-        if parity_pure and not same_parity(mono.degree, m):
-            continue
-        for e in exponent_vectors(n, m):
-            out.append((mono.indices, e))
-    return tuple(out)
+    return tuple(key for key in chain_keys(n, m)
+                 if not parity_pure or same_parity(len(key[0]), m))
 
 
 def _test_cocycle(n, m, field):
@@ -440,14 +416,11 @@ def _test_cocycle(n, m, field):
     })
 
 
-def _bracketed(a, b, c, left_first):
-    """Signed product of three monomials, as (ab)c when left_first and as
-    a(bc) otherwise; None when it vanishes."""
-    inner = merge_signed(a, b) if left_first else merge_signed(b, c)
-    if inner is None:
-        return None
-    outer = merge_signed(inner[1], c) if left_first else merge_signed(a, inner[1])
-    return None if outer is None else (inner[0] * outer[0], outer[1])
+def _merge_pairs(n):
+    """The monomial index tuples and the table {(a, b): merge_signed(a, b)}
+    over every pair of them, built afresh on each call."""
+    mons = [mono.indices for mono in monomials(n)]
+    return mons, {(a, b): merge_signed(a, b) for a in mons for b in mons}
 
 
 def verify_graded_commutativity(n, field, total_deg_max):
@@ -457,9 +430,9 @@ def verify_graded_commutativity(n, field, total_deg_max):
     itself on one test cocycle per degree for every such (s, t)."""
     if field.char == 2:
         raise ValueError("use the characteristic-2 structure check instead")
-    mons = [mono.indices for mono in monomials(n)]
+    mons, pairs = _merge_pairs(n)
     for a, b in product(mons, repeat=2):
-        ab, ba = merge_signed(a, b), merge_signed(b, a)
+        ab, ba = pairs[a, b], pairs[b, a]
         if ba is not None:
             ba = ((-1) ** (len(a) * len(b)) * ba[0], ba[1])
         if ab != ba:
@@ -480,9 +453,13 @@ def verify_associativity(n, field, total_deg_max):
     itself on one test cocycle per degree for every such degree triple."""
     if field.char == 2:
         raise ValueError("use the characteristic-2 structure check instead")
-    mons = [mono.indices for mono in monomials(n)]
+    mons, pairs = _merge_pairs(n)
     for a, b, c in product(mons, repeat=3):
-        if _bracketed(a, b, c, True) != _bracketed(a, b, c, False):
+        ab, bc = pairs[a, b], pairs[b, c]
+        left = ab and pairs[ab[1], c]
+        right = bc and pairs[a, bc[1]]
+        if ((left and (ab[0] * left[0], left[1]))
+                != (right and (bc[0] * right[0], right[1]))):
             return False
     cocycles = [_test_cocycle(n, m, field) for m in range(total_deg_max + 1)]
     for s in range(total_deg_max + 1):
@@ -621,11 +598,12 @@ def char2_ring_check(n, deg_max, field):
     """
     if field.char != 2:
         raise ValueError("this check is only meaningful in characteristic 2")
-    diffs_vanish = all(
-        cochain_matrix(n, m, field).is_zero() for m in range(deg_max + 1)
-    ) and all(
-        chain_matrix(n, m, field).is_zero() for m in range(1, deg_max + 2)
-    )
+    columns = [(cochain_column(n, m, field), m) for m in range(deg_max + 1)]
+    columns += [(chain_column(n, m, field), m)
+                for m in range(1, deg_max + 2)]
+    diffs_vanish = not any(apply(column, {key: field.one}, field)
+                           for column, m in columns
+                           for key in chain_keys(n, m))
     dims_full = all(
         hhc_dim_computed(n, m, field) == chain_dim(n, m) for m in range(deg_max + 1)
     )

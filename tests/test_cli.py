@@ -1,10 +1,15 @@
-"""Command line interface, run as subprocesses."""
+"""Command line interface, run as subprocesses and, against the
+benchmark's golden reports, in-process."""
 
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+from hhext import cli
 from hhext.exactla import PRIME_BOUND
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 
 def run_cli(*args):
@@ -143,3 +148,33 @@ def test_timestamp_present_by_default():
     r = run_cli("dims", "--n", "2", "--m-max", "0", "--format", "json")
     rep = json.loads(r.stdout)
     assert "generated_at" in rep
+
+
+def _record_fields(path):
+    """Records of a JSON report, keyed by (id, params), reduced to the
+    fields the benchmark's golden check compares."""
+    with open(path) as fh:
+        records = json.load(fh)["records"]
+    return {(r["id"], json.dumps(r["params"], sort_keys=True)):
+            {k: r.get(k) for k in ("status", "expected", "computed")}
+            for r in records}
+
+
+def test_reports_match_benchmark_golden(tmp_path):
+    """Two benchmark workloads, run in-process, reproduce every record of
+    their golden reports in status, expected and computed."""
+    workloads = {
+        "ring-q": ["ring", "--n", "5", "--deg-max", "4"],
+        "verify-gf3": ["verify", "--n", "3", "--m-max", "4", "--suite", "all",
+                       "--oracle-cap", "300000", "--char", "3"],
+    }
+    for name, argv in workloads.items():
+        out = tmp_path / f"{name}.json"
+        code = cli.main([*argv, "--format", "json", "--no-timestamp",
+                         "--out", str(out)])
+        assert code == 0, name
+        got = _record_fields(out)
+        want = _record_fields(GOLDEN / f"{name}.json")
+        assert want, name
+        for key, fields in want.items():
+            assert got.get(key) == fields, (name, key)

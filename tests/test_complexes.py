@@ -2,11 +2,12 @@
 
 import inspect
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from hhext import complexes
-from hhext.exactla import GF, QQ, rank
+from hhext.exactla import GF, QQ, apply, keyed_matrix, rank
 from hhext.exterior import ExtMonomial
 from hhext.formulas import (
     chain_rank_double_sum,
@@ -20,17 +21,14 @@ from hhext.complexes import (
     OracleInfeasibleError,
     bar_chain_blocks,
     bar_chain_dim,
-    bar_chain_matrix,
     bar_cochain_blocks,
-    bar_cochain_matrix,
     bar_oracle_dims,
-    chain_basis,
     chain_blocks,
+    chain_column,
     chain_dim,
-    chain_matrix,
     chain_rank,
     cochain_blocks,
-    cochain_matrix,
+    cochain_column,
     cochain_rank,
     grade,
     hh_dim_computed,
@@ -40,42 +38,39 @@ from hhext.complexes import (
 )
 
 
-def test_chain_basis_order():
-    """Monomial-major, exponent lex minor."""
-    basis = chain_basis(2, 1)
-    got = [(m.indices, e) for m, e in basis]
-    assert got == [
-        ((), (0, 1)), ((), (1, 0)),
-        ((1,), (0, 1)), ((1,), (1, 0)),
-        ((2,), (0, 1)), ((2,), (1, 0)),
-        ((1, 2), (0, 1)), ((1, 2), (1, 0)),
-    ]
-    assert len(chain_basis(3, 2)) == chain_dim(3, 2) == 48
+def all_keys(n, m):
+    """Every degree-m key, listed without the code under test: a monomial
+    index tuple with an exponent vector of degree m."""
+    gens = range(1, n + 1)
+    monos = [idx for j in range(n + 1) for idx in product(gens, repeat=j)
+             if list(idx) == sorted(set(idx))]
+    exps = [e for e in product(range(m + 1), repeat=n) if sum(e) == m]
+    keys = list(product(monos, exps))
+    assert len(keys) == chain_dim(n, m)
+    return keys
 
 
 def test_chain_matrix_entries():
     """Hand-checked differential column for x1 against the second exponent."""
-    M = chain_matrix(2, 1, QQ)
-    domain, codomain = chain_basis(2, 1), chain_basis(2, 0)
-    mono, e = domain[2]
-    assert (mono.indices, e) == ((1,), (0, 1))
-    col = M.col_dict(2)
+    column = chain_column(2, 1, QQ)
     # only h=2 applies: mu=1 gives sign -1, factor (-1)^1 + (-1)^1 = -2,
     # so the (x1x2, (0,0)) entry is (-1)*(-2) = 2
-    row = codomain.index(next(b for b in codomain if b[0].indices == (1, 2)))
-    assert col == {row: QQ.of(2)}
+    assert column(((1,), (0, 1))) == {((1, 2), (0, 0)): QQ.of(2)}
     # even-degree monomials have factor 0 in odd homological degree
-    assert M.col_dict(0) == {}
-    assert M.col_dict(6) == {}
+    assert column(((), (0, 1))) == {}
+    assert column(((1, 2), (0, 1))) == {}
 
 
 def test_differential_preserves_grade():
     for n, m in ((2, 2), (3, 2)):
-        domain, codomain = chain_basis(n, m), chain_basis(n, m - 1)
-        for (r, c) in chain_matrix(n, m, QQ).entries:
-            mr, er = codomain[r]
-            mc, ec = domain[c]
-            assert grade(mr, er) == grade(mc, ec)
+        column = chain_column(n, m, QQ)
+        targets = 0
+        for idx, e in all_keys(n, m):
+            for idx2, e2 in column((idx, e)):
+                targets += 1
+                assert (grade(ExtMonomial(n, idx2), e2)
+                        == grade(ExtMonomial(n, idx), e))
+        assert targets
 
 
 def test_d_squared_zero():
@@ -95,8 +90,9 @@ def test_char2_matrices_vanish():
     F = GF(2)
     for n in (2, 3):
         for m in range(4):
-            assert cochain_matrix(n, m, F).is_zero()
-            assert chain_matrix(n, m + 1, F).is_zero()
+            for column, d in ((cochain_column(n, m, F), m),
+                              (chain_column(n, m + 1, F), m + 1)):
+                assert keyed_matrix(all_keys(n, d), column, F).nnz() == 0
         assert hh_dim_computed(n, 2, F) == chain_dim(n, 2)
 
 
@@ -117,9 +113,12 @@ def test_blocks_partition_the_global_matrices():
     for field in FIELDS:
         for n, m_max in SIZES:
             for m in range(m_max + 1):
-                pairs = [(cochain_blocks, cochain_matrix(n, m, field))]
+                keys = all_keys(n, m)
+                pairs = [(cochain_blocks, keyed_matrix(
+                    keys, cochain_column(n, m, field), field))]
                 if m >= 1:
-                    pairs.append((chain_blocks, chain_matrix(n, m, field)))
+                    pairs.append((chain_blocks, keyed_matrix(
+                        keys, chain_column(n, m, field), field)))
                 for blocks, full in pairs:
                     got = [M for _, M in blocks(n, m, field)]
                     assert sum(map(rank, got)) == rank(full), (n, m, field)
@@ -172,19 +171,49 @@ def test_dropped_sign_changes_block_ranks(monkeypatch):
         cochain_rank.cache_clear()
 
 
+def test_dropped_sign_breaks_d_squared_zero(monkeypatch):
+    """The d^2 = 0 check applies the shared column rules, so it fails
+    once the (-1)^mu sign of the insertion rule is dropped."""
+    monkeypatch.setattr(complexes, "_insertions", _unsigned_insertions)
+    for n in (2, 3):
+        for field in (QQ, GF(3)):
+            assert not verify_d_squared_zero(n, 4, field), (n, field)
+
+
 def test_bar_dims():
     assert bar_chain_dim(2, 0) == 4
     assert bar_chain_dim(2, 2) == 36
     assert bar_chain_dim(3, 3) == 2744
 
 
+def bar_chain_keys(n, m):
+    """Every degree-m bar chain (a0, a1, ..., am), a1..am nonunit."""
+    return [(a,) + w for a in range(2 ** n)
+            for w in product(range(1, 2 ** n), repeat=m)]
+
+
+def bar_cochain_keys(n, m):
+    """Every degree-m bar cochain (w, b): m nonunit arguments, a value b."""
+    return [(w, b) for w in product(range(1, 2 ** n), repeat=m)
+            for b in range(2 ** n)]
+
+
 def test_bar_differential_squares_to_zero():
+    """Both bar column rules, applied twice to each key, give zero; each
+    single application is nonzero somewhere."""
+    chain, cochain = complexes._bar_chain_rule, complexes._bar_cochain_rule
     for m in (2, 3):
-        prod = bar_chain_matrix(2, m - 1, QQ).matmul(bar_chain_matrix(2, m, QQ))
-        assert prod.is_zero()
+        d, d_below = chain(2, m), chain(2, m - 1)
+        keys = bar_chain_keys(2, m)
+        assert any(apply(d, {t: QQ.one}, QQ) for t in keys)
+        for t in keys:
+            assert apply(d_below, apply(d, {t: QQ.one}, QQ), QQ) == {}
     for m in (0, 1):
-        prod = bar_cochain_matrix(2, m + 1, QQ).matmul(bar_cochain_matrix(2, m, QQ))
-        assert prod.is_zero()
+        d, d_above = cochain(2, m), cochain(2, m + 1)
+        keys = bar_cochain_keys(2, m)
+        assert any(apply(d, {t: QQ.one}, QQ) for t in keys)
+        for t in keys:
+            assert apply(d_above, apply(d, {t: QQ.one}, QQ), QQ) == {}
 
 
 BAR_SIZES = ((2, 5), (3, 3), (4, 2))
@@ -196,9 +225,13 @@ def test_bar_blocks_partition_the_global_matrices():
     for field in FIELDS:
         for n, m_max in BAR_SIZES:
             for m in range(m_max + 1):
-                pairs = [(bar_cochain_blocks, bar_cochain_matrix(n, m, field))]
+                pairs = [(bar_cochain_blocks, keyed_matrix(
+                    bar_cochain_keys(n, m),
+                    complexes._bar_cochain_rule(n, m), field))]
                 if m >= 1:
-                    pairs.append((bar_chain_blocks, bar_chain_matrix(n, m, field)))
+                    pairs.append((bar_chain_blocks, keyed_matrix(
+                        bar_chain_keys(n, m),
+                        complexes._bar_chain_rule(n, m), field)))
                 for blocks, full in pairs:
                     got = list(blocks(n, m, field))
                     keys = [key for domain, _ in got for key in domain]
@@ -268,7 +301,13 @@ def test_oracle_cap():
 
 
 def test_chain_matrix_validation():
+    """The block generators, which build every chain and cochain matrix,
+    reject degrees below their range."""
     with pytest.raises(ValueError):
-        chain_matrix(2, 0, QQ)
+        next(chain_blocks(2, 0, QQ))
     with pytest.raises(ValueError):
-        cochain_matrix(2, -1, QQ)
+        next(cochain_blocks(2, -1, QQ))
+    with pytest.raises(ValueError):
+        next(bar_chain_blocks(2, 0, QQ))
+    with pytest.raises(ValueError):
+        next(bar_cochain_blocks(2, -1, QQ))

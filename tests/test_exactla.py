@@ -4,18 +4,29 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hhext.exactla import (
     GF,
     PRIME_BOUND,
     QQ,
-    SparseMatrix,
     SpanBasis,
+    apply,
     field_of_char,
-    kernel_basis,
+    keyed_matrix,
     _is_prime,
     rank,
 )
+
+
+def from_entries(rows, cols, field, entries):
+    """The matrix with the given {(row, col): value} entries, through the
+    one builder: column c maps to {row: value}."""
+    columns = [{} for _ in range(cols)]
+    for (r, c), v in entries.items():
+        assert 0 <= r < rows
+        columns[c][r] = v
+    return keyed_matrix(range(cols), columns.__getitem__, field)
 
 
 def test_rational_field_ops():
@@ -74,36 +85,47 @@ def test_field_of_converts_scalars():
 
 
 def test_sparse_matrix_drops_zeros_and_validates():
-    M = SparseMatrix(2, 2, QQ, {(0, 0): Fraction(1), (1, 1): Fraction(0)})
-    assert M.nnz() == 1
+    """The builder converts every value with field.of, drops zeros, numbers
+    the target keys that keep an entry by first use, and rejects values
+    outside the field."""
+    column = {"a": {"x": 1, "y": 0}, "b": {"z": Fraction(3, 2), "x": 3}}.get
+    M = keyed_matrix(["a", "b"], column, QQ)
+    assert (M.rows, M.cols, M.nnz()) == (2, 2, 3)
+    assert M.entries == [{0: Fraction(1), 1: Fraction(3)}, {1: Fraction(3, 2)}]
+    assert all(type(v) is Fraction for row in M.entries for v in row.values())
+    M = keyed_matrix(["a", "b"], column, GF(3))
+    assert (M.rows, M.cols, M.nnz()) == (1, 2, 1)
+    assert M.entries == [{0: 1}]
     with pytest.raises(ValueError):
-        SparseMatrix(2, 2, QQ, {(2, 0): Fraction(1)})
+        keyed_matrix(["c"], {"c": {"x": Fraction(1, 3)}}.get, GF(3))
 
 
-def test_matmul_and_transpose():
-    A = SparseMatrix(2, 2, QQ, {(0, 0): Fraction(1), (0, 1): Fraction(2)})
-    B = SparseMatrix(2, 2, QQ, {(0, 0): Fraction(3), (1, 0): Fraction(4)})
-    P = A.matmul(B)
-    assert P.col_dict(0) == {0: Fraction(11)}
-    assert A.transpose().col_dict(0) == {0: Fraction(1), 1: Fraction(2)}
+def test_apply_maps_keyed_vectors():
+    """apply(column, vec) is the matrix-vector product over keys, zeros
+    dropped."""
+    column = {"a": {"x": 1, "y": 2}, "b": {"x": -1, "z": 1}}.get
+    assert apply(column, {"a": QQ.of(2), "b": QQ.of(2)}, QQ) == {
+        "y": QQ.of(4), "z": QQ.of(2)}
+    assert apply(column, {"a": 1, "b": 1}, GF(2)) == {"z": 1}
+    assert apply(column, {}, QQ) == {}
 
 
 def test_rank_identity_and_singular():
-    I3 = SparseMatrix(3, 3, QQ, {(i, i): Fraction(1) for i in range(3)})
+    I3 = from_entries(3, 3, QQ, {(i, i): Fraction(1) for i in range(3)})
     assert rank(I3) == 3
     # two proportional rows
-    M = SparseMatrix(
+    M = from_entries(
         2, 2, QQ,
         {(0, 0): Fraction(1), (0, 1): Fraction(2),
          (1, 0): Fraction(2), (1, 1): Fraction(4)},
     )
     assert rank(M) == 1
-    assert rank(SparseMatrix(3, 4, QQ, {})) == 0
+    assert rank(from_entries(3, 4, QQ, {})) == 0
 
 
 def test_rank_rational_entries():
     """Elimination with fractions must not lose exactness."""
-    M = SparseMatrix(
+    M = from_entries(
         3, 3, QQ,
         {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 3), (0, 2): Fraction(1),
          (1, 0): Fraction(1, 4), (1, 1): Fraction(1, 6), (1, 2): Fraction(1, 2),
@@ -116,35 +138,18 @@ def test_rank_rational_entries():
 def test_rank_depends_on_characteristic():
     """A matrix can drop rank over a prime field."""
     entries = {(0, 0): 1, (1, 1): 3}
-    assert rank(SparseMatrix(2, 2, QQ, {k: Fraction(v) for k, v in entries.items()})) == 2
+    assert rank(from_entries(2, 2, QQ, {k: Fraction(v) for k, v in entries.items()})) == 2
     F = GF(3)
-    assert rank(SparseMatrix(2, 2, F, {k: F.of(v) for k, v in entries.items()})) == 1
+    assert rank(from_entries(2, 2, F, {k: F.of(v) for k, v in entries.items()})) == 1
 
 
 def test_rank_deterministic():
     # the (0,2)x(0,2) minor is -10, zero mod 5, so the rank drops there
     entries = {(0, 0): 2, (0, 2): 3, (1, 1): 1, (2, 0): 4, (2, 2): 1}
-    M5 = SparseMatrix(3, 3, GF(5), entries)
+    M5 = from_entries(3, 3, GF(5), entries)
     assert rank(M5) == rank(M5) == 2
-    MQ = SparseMatrix(3, 3, QQ, {k: Fraction(v) for k, v in entries.items()})
+    MQ = from_entries(3, 3, QQ, {k: Fraction(v) for k, v in entries.items()})
     assert rank(MQ) == rank(MQ) == 3
-
-
-def test_kernel_basis_annihilates():
-    M = SparseMatrix(
-        2, 3, QQ,
-        {(0, 0): Fraction(1), (0, 2): Fraction(-1),
-         (1, 1): Fraction(1), (1, 2): Fraction(1)},
-    )
-    ker = kernel_basis(M)
-    assert len(ker) == 3 - rank(M) == 1
-    for v in ker:
-        assert M.mul_vec(v) == {}
-
-
-def test_kernel_of_zero_map_is_everything():
-    M = SparseMatrix(2, 3, QQ, {})
-    assert len(kernel_basis(M)) == 3
 
 
 def test_span_basis_membership():
@@ -157,7 +162,71 @@ def test_span_basis_membership():
     assert not sb.contains({2: Fraction(1)})
 
 
-def test_from_columns_roundtrip():
-    cols = [{0: Fraction(1)}, {}, {1: Fraction(2)}]
-    M = SparseMatrix.from_columns(2, 3, QQ, enumerate(cols))
-    assert M.columns() == cols
+# Property tests on small integer matrices, drawn deterministically.
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=80,
+                             deadline=None)
+FIELDS = (QQ, GF(2), GF(3), GF(5))
+
+
+@st.composite
+def int_matrices(draw):
+    """A dense integer matrix of 1..6 rows and 1..6 columns, about half
+    of its entries zero."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+def dense(A, field):
+    return from_entries(len(A), len(A[0]), field, {
+        (r, c): v for r, row in enumerate(A) for c, v in enumerate(row)})
+
+
+@PROPERTY_SETTINGS
+@given(A=int_matrices(), data=st.data())
+def test_rank_invariant_under_permutation_and_transposition(A, data):
+    rows = data.draw(st.permutations(range(len(A))))
+    cols = data.draw(st.permutations(range(len(A[0]))))
+    permuted = [[A[r][c] for c in cols] for r in rows]
+    transposed = [list(col) for col in zip(*A)]
+    for field in FIELDS:
+        r = rank(dense(A, field))
+        assert rank(dense(permuted, field)) == r
+        assert rank(dense(transposed, field)) == r
+        assert r <= min(len(A), len(A[0]))
+
+
+@PROPERTY_SETTINGS
+@given(A=int_matrices())
+def test_rank_mod_p_at_most_rank_over_q(A):
+    r = rank(dense(A, QQ))
+    for p in (2, 3, 5, 7):
+        assert rank(dense(A, GF(p))) <= r
+
+
+@PROPERTY_SETTINGS
+@given(A=int_matrices(),
+       probe=st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+def test_span_basis_rank_equals_rank(A, probe):
+    """Inserting the rows one by one reaches the rank; reduce and insert
+    change neither their argument nor an existing pivot row, and every
+    inserted row reduces to zero."""
+    for field in FIELDS:
+        M = dense(A, field)
+        span = SpanBasis(field)
+        vecs = [{c: field.of(v) for c, v in enumerate(row)} for row in A]
+        for vec in vecs:
+            before = dict(vec)
+            pivots = {c: dict(row) for c, row in span.pivots.items()}
+            span.insert(vec)
+            assert vec == before
+            assert all(span.pivots[c] == row for c, row in pivots.items())
+        assert span.rank == rank(M)
+        pivots = {c: dict(row) for c, row in span.pivots.items()}
+        assert all(span.contains(vec) for vec in vecs)
+        extra = {c: field.of(v) for c, v in enumerate(probe[:len(A[0])])}
+        grows = rank(dense(A + [probe[:len(A[0])]], field)) > rank(M)
+        assert span.contains(extra) != grows
+        assert span.pivots == pivots

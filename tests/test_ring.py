@@ -2,7 +2,7 @@
 
 import pytest
 
-from hhext import ring
+from hhext import complexes, ring
 from hhext.exactla import GF, QQ
 from hhext.exterior import merge_signed
 from hhext.ring import (
@@ -249,3 +249,18 @@ def test_char2_ring_structure():
         assert rep["ok"]
     with pytest.raises(ValueError):
         char2_ring_check(2, 2, QQ)
+
+
+def test_planted_char2_factor_fails_vanishing_check(monkeypatch):
+    """A cochain factor planted nonzero in characteristic 2 turns the
+    vanishing check false: the check applies the column rule afresh."""
+    F = GF(2)
+    assert char2_ring_check(3, 2, F)["differentials_vanish"]
+    monkeypatch.setattr(complexes, "cochain_factor",
+                        lambda j, m, field: field.one)
+    complexes.cochain_rank.cache_clear()
+    try:
+        rep = char2_ring_check(3, 2, F)
+        assert not rep["differentials_vanish"] and not rep["ok"]
+    finally:
+        complexes.cochain_rank.cache_clear()

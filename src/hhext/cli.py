@@ -58,7 +58,6 @@ from .ring import (
     char2_ring_check,
     cohomology_basis,
     presentation_audit,
-    ring_relations_hold,
     verify_associativity,
     verify_cohomology_basis,
     verify_graded_commutativity,
@@ -152,8 +151,12 @@ def _ranks_records(ns, m_max, char):
             out.append(_rec("ranks.cochain", p, cochain_rank_double_sum(n, m, char),
                             cochain_rank(n, m, field)))
         p = {"n": n, "m_max": m_max, "char": char}
-        out.append(_rec("ranks.composite-zero", p, True,
-                        verify_d_squared_zero(n, m_max, field)))
+        if m_max == 0:
+            out.append(_rec("ranks.composite-zero", p, None, None, "skip",
+                            "no two differentials compose within degree 0"))
+        else:
+            out.append(_rec("ranks.composite-zero", p, True,
+                            verify_d_squared_zero(n, m_max, field)))
     return out
 
 

@@ -32,17 +32,16 @@ class OracleInfeasibleError(Exception):
 
 def chain_keys(n, m):
     """Every key (monomial indices, exponent vector) of the degree-m term."""
-    return [(mono.indices, e) for mono in monomials(n)
-            for e in exponent_vectors(n, m)]
+    return [(idx, e) for idx in monomials(n) for e in exponent_vectors(n, m)]
 
 
 def chain_dim(n, m):
     return 2 ** n * binom(n + m - 1, n - 1)
 
 
-def grade(mono, e):
+def grade(idx, e):
     """Size of the support: indices in the monomial or with a positive exponent."""
-    return len(set(mono.indices) | {h + 1 for h, v in enumerate(e) if v})
+    return len(set(idx) | {h + 1 for h, v in enumerate(e) if v})
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +136,15 @@ def _shift(w, hs, d):
     return tuple(out)
 
 
+def _cochain_keys(minus, rest, base, size):
+    """The keys (N + S', base + 1_S') of one cochain weight block, over
+    the subsets S' of the generators ``rest`` with ``size`` elements;
+    ``minus`` is N and ``base`` the weight with its -1 entries raised
+    to 0."""
+    return [(tuple(sorted(minus + S)), _shift(base, S, 1))
+            for S in combinations(rest, size)]
+
+
 def chain_blocks(n, m, field):
     """Yield (domain keys, block matrix) for every weight block of the
     degree-m chain differential with a nonzero factor.
@@ -181,11 +189,29 @@ def cochain_blocks(n, m, field):
                 rest = tuple(h for h in gens if h not in minus)
                 for extra in combinations_with_replacement(rest, m - j + t):
                     base = _shift((0,) * n, extra, 1)
-                    domain = [
-                        (tuple(sorted(minus + S)), _shift(base, S, 1))
-                        for S in combinations(rest, j - t)
-                    ]
+                    domain = _cochain_keys(minus, rest, base, j - t)
                     yield domain, keyed_matrix(domain, column, field)
+
+
+def cochain_weight(key):
+    """The weight v = e - 1_idx of a key (idx, e), which the cochain
+    differential keeps."""
+    idx, e = key
+    return _shift(e, idx, -1)
+
+
+def cochain_domain(n, m, v):
+    """The domain keys of the weight-v block of the cochain differential
+    leaving degree m, in the order ``cochain_blocks`` lists them, for a
+    weight v with entries >= -1.  Empty when the subset size
+    m - |v| - |N| is negative."""
+    gens = range(1, n + 1)
+    minus = tuple(h for h in gens if v[h - 1] < 0)
+    size = m - sum(v) - len(minus)
+    if size < 0:
+        return []
+    rest = tuple(h for h in gens if v[h - 1] >= 0)
+    return _cochain_keys(minus, rest, tuple(max(x, 0) for x in v), size)
 
 
 @lru_cache(maxsize=None)

@@ -91,7 +91,6 @@ def verify_left_right(n, m):
     return True
 
 
-@lru_cache(maxsize=None)
 def _relation_span(n):
     """Echelonized span of the quadratic relations x_i^2 and
     x_i x_j + x_j x_i inside the degree-2 word space, with word index

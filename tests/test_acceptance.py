@@ -44,9 +44,9 @@ from hhext.ring import (
     RELATION_FAMILIES,
     char2_ring_check,
     presentation_audit,
-    ring_relations_hold,
     verify_associativity,
     verify_graded_commutativity,
+    verify_ring_relations,
 )
 
 
@@ -217,7 +217,8 @@ def test_criterion_10_hilbert_series():
 def test_criterion_11_ring_relations():
     ok = len(RELATION_FAMILIES) == 24
     for n in (2, 3, 4):
-        ok = ok and ring_relations_hold(n, QQ)
+        ok = ok and not any(rec["failures"]
+                            for rec in verify_ring_relations(n, QQ))
         ok = ok and verify_associativity(n, QQ, 5)
         ok = ok and verify_graded_commutativity(n, QQ, 5)
     assert _report(11, "all 24 tabulated relation families hold; product "

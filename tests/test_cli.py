@@ -63,6 +63,20 @@ def test_verify_suites():
         assert rep["records"], suite
 
 
+def test_composite_zero_skips_at_degree_zero():
+    """At --m-max 0 no two differentials compose, so the d^2 = 0 record
+    is a skip with a note, not a pass; from --m-max 1 on it passes."""
+    for m_max, status in (("0", "skip"), ("1", "pass")):
+        r = run_cli("verify", "--n", "2", "--m-max", m_max, "--suite",
+                    "ranks", "--format", "json", "--no-timestamp")
+        rep = json.loads(r.stdout)
+        assert r.returncode == 0
+        rec, = [rec for rec in rep["records"]
+                if rec["id"] == "ranks.composite-zero"]
+        assert rec["status"] == status
+        assert ("note" in rec) == (status == "skip")
+
+
 def test_verify_oracle_skips_beyond_cap():
     r = run_cli("verify", "--n", "3", "--m-max", "4", "--suite", "oracle",
                 "--format", "json", "--no-timestamp", "--oracle-cap", "50000")

@@ -8,7 +8,6 @@ import pytest
 
 from hhext import complexes
 from hhext.exactla import GF, QQ, apply, keyed_matrix, rank
-from hhext.exterior import ExtMonomial
 from hhext.formulas import (
     chain_rank_double_sum,
     chain_rank_terms,
@@ -29,7 +28,10 @@ from hhext.complexes import (
     chain_rank,
     cochain_blocks,
     cochain_column,
+    cochain_domain,
+    cochain_factor,
     cochain_rank,
+    cochain_weight,
     grade,
     hh_dim_computed,
     hhc_dim_computed,
@@ -68,8 +70,7 @@ def test_differential_preserves_grade():
         for idx, e in all_keys(n, m):
             for idx2, e2 in column((idx, e)):
                 targets += 1
-                assert (grade(ExtMonomial(n, idx2), e2)
-                        == grade(ExtMonomial(n, idx), e))
+                assert grade(idx2, e2) == grade(idx, e)
         assert targets
 
 
@@ -125,6 +126,33 @@ def test_blocks_partition_the_global_matrices():
                     assert sum(M.nnz() for M in got) == full.nnz(), (n, m, field)
 
 
+def test_cochain_domain_is_the_block_domain():
+    """cochain_domain(n, m, v) is the domain cochain_blocks yields for v,
+    in the same order.  Blocks with a zero factor are skipped, the other
+    domains partition the keys of nonzero factor, and every key, zero
+    factor or not, lies in the domain of its own weight."""
+    for field in (QQ, GF(3)):
+        for n in range(2, 5):
+            for m in range(4):
+                keys = all_keys(n, m)
+                by_weight = {}
+                for key in keys:
+                    by_weight.setdefault(cochain_weight(key), []).append(key)
+                seen = []
+                for domain, _ in cochain_blocks(n, m, field):
+                    v = cochain_weight(domain[0])
+                    assert cochain_domain(n, m, v) == domain, (n, m, v)
+                    seen += domain
+                nonzero = [k for k in keys if cochain_factor(
+                    len(k[0]), m, field) != field.zero]
+                assert sorted(seen) == sorted(nonzero), (n, m, field)
+                for v, group in by_weight.items():
+                    assert sorted(cochain_domain(n, m, v)) == sorted(group)
+    # a negative subset size m - |v| - |N| gives an empty domain
+    assert cochain_domain(2, 0, (1, 0)) == []
+    assert cochain_domain(3, 1, (-1, 1, 1)) == []
+
+
 def test_block_ranks_refine_rank_formulas():
     """Grouped by support size i, the block ranks equal the outer terms
     C(n,i) * inner_i of the double-sum rank formulas.  A chain block's i
@@ -137,7 +165,7 @@ def test_block_ranks_refine_rank_formulas():
                     got = Counter()
                     for domain, M in chain_blocks(n, m, field):
                         idx, e = domain[0]
-                        got[grade(ExtMonomial(n, idx), e)] += rank(M)
+                        got[grade(idx, e)] += rank(M)
                     terms = chain_rank_terms(n, m, field.char)
                     assert +got == +Counter(terms), (n, m, field)
                 got = Counter()

@@ -3,14 +3,13 @@
 import pytest
 
 from hhext import complexes, ring
+from hhext.complexes import cochain_weight
 from hhext.exactla import GF, QQ
 from hhext.exterior import merge_signed
 from hhext.ring import (
     CochainVector,
-    CohomologyError,
     apply_differential,
     char2_ring_check,
-    class_representative,
     classes_equal,
     cohomology_basis,
     cup,
@@ -18,17 +17,18 @@ from hhext.ring import (
     deg1_generator,
     deg2_generator,
     evaluate_word,
+    in_coboundary_image,
     is_cocycle,
     presentation_audit,
     presentation_count,
     presentation_normal_forms,
-    ring_relations_hold,
     unit_class,
     verify_associativity,
     verify_cohomology_basis,
     verify_graded_commutativity,
     verify_ring_relations,
     verify_unital,
+    zero_cochain,
 )
 
 
@@ -57,22 +57,37 @@ def test_cocycle_detection():
     assert not is_cocycle(impure)
 
 
-def test_class_representative_strips_coboundary():
-    """Adding a coboundary must not change the canonical representative."""
-    v = deg1_generator(2, QQ, 1, 1)
-    source = CochainVector(2, 0, QQ, {((1,), (0, 0)): QQ.one})
-    cob = apply_differential(source)
+def _coboundary(n, m, key, field=QQ):
+    """The coboundary of one degree-(m - 1) key, nonzero by assertion."""
+    cob = apply_differential(CochainVector(n, m - 1, field, {key: field.one}))
     assert not cob.is_zero()
+    return cob
+
+
+def test_classes_equal_modulo_coboundary():
+    """A class shifted by a coboundary equals the class: the shift is the
+    opposite-parity part of the shifted cocycle, and it is a coboundary."""
+    v = deg1_generator(2, QQ, 1, 1)
+    cob = _coboundary(2, 1, ((1,), (0, 0)))
     shifted = v.add(cob)
-    rep = class_representative(shifted)
-    assert rep == v
-    assert classes_equal(shifted, v)
+    assert shifted != v
+    assert classes_equal(shifted, v) and classes_equal(v, shifted)
+    assert in_coboundary_image(shifted.sub(v))
 
 
-def test_class_representative_rejects_non_cocycle():
+def test_classes_unequal_off_coboundaries():
+    """Two cochains are unequal classes when their difference is a cocycle
+    but no coboundary, and when it is no cocycle at all."""
+    v = deg1_generator(2, QQ, 1, 1)
+    w = deg1_generator(2, QQ, 2, 1)
+    assert is_cocycle(w.sub(v)) and not classes_equal(v, w)
+    # the same difference, with a coboundary added on top
+    cob = _coboundary(2, 1, ((1,), (0, 0)))
+    assert not classes_equal(v.add(cob), w)
     impure = CochainVector(2, 1, QQ, {((), (1, 0)): QQ.one})
-    with pytest.raises(CohomologyError):
-        class_representative(impure)
+    assert not is_cocycle(impure)
+    assert not classes_equal(v.add(impure), v)
+    assert not classes_equal(impure, zero_cochain(2, 1, QQ))
 
 
 def test_cohomology_basis_counts():
@@ -88,24 +103,87 @@ def test_cohomology_basis_independent():
             assert verify_cohomology_basis(n, m, QQ)
 
 
-def test_cohomology_basis_check_copies_the_coboundary_span(monkeypatch):
-    """The check starts from the cached coboundary span: a basis vector
-    shifted by a coboundary still passes, a repeated one fails, and the
-    cached span is left as it was."""
+def _same_weight_pair(basis):
+    """Indices i < j of two basis vectors of the same weight."""
+    seen = {}
+    for j, vec in enumerate(basis):
+        v = cochain_weight(next(iter(vec.terms)))
+        if v in seen:
+            return seen[v], j
+        seen[v] = j
+    raise AssertionError("no two basis vectors share a weight")
+
+
+def test_cohomology_basis_check_works_within_a_weight(monkeypatch):
+    """A basis vector shifted by another of the same weight still passes;
+    the shifted vector has two terms, both in one weight.  A repeated
+    vector fails."""
     n, m = 3, 2
     basis = cohomology_basis(n, m, QQ)
-    span = ring._image_span(n, m, QQ)
-    before = span.rank
-    boundary = apply_differential(
-        CochainVector(n, m - 1, QQ, {((), (1, 0, 0)): QQ.one}))
-    assert not boundary.is_zero()
-    shifted = [basis[0].add(boundary)] + basis[1:]
+    i, j = _same_weight_pair(basis)
+    shifted = list(basis)
+    shifted[i] = basis[i].add(basis[j])
     monkeypatch.setattr(ring, "cohomology_basis", lambda *args: shifted)
     assert verify_cohomology_basis(n, m, QQ)
-    repeated = [basis[0], basis[0]] + basis[2:]
+    repeated = list(basis)
+    repeated[i] = basis[j]
     monkeypatch.setattr(ring, "cohomology_basis", lambda *args: repeated)
     assert not verify_cohomology_basis(n, m, QQ)
-    assert ring._image_span(n, m, QQ) is span and span.rank == before
+
+
+def test_cohomology_basis_check_rejects_a_coboundary(monkeypatch):
+    """A nonzero coboundary put in place of a basis vector is a cocycle in
+    one weight, so only the span of that weight's coboundaries can reject
+    it: the check fails, and passes once that span is emptied."""
+    n, m = 3, 2
+    basis = cohomology_basis(n, m, QQ)
+    cob = _coboundary(n, m, ((), (1, 0, 0)))
+    assert len({cochain_weight(key) for key in cob.terms}) == 1
+    monkeypatch.setattr(ring, "cohomology_basis",
+                        lambda *args: [cob] + basis[1:])
+    assert not verify_cohomology_basis(n, m, QQ)
+    monkeypatch.setattr(ring, "cochain_domain", lambda *args: [])
+    assert verify_cohomology_basis(n, m, QQ)
+
+
+def test_cohomology_basis_check_rejects_a_mixed_weight_vector(monkeypatch):
+    """A basis vector plus another of a different weight is still a
+    cocycle, but it lies in two weights, and the check returns False."""
+    n, m = 3, 2
+    basis = cohomology_basis(n, m, QQ)
+    mixed = [basis[0].add(basis[-1])] + basis[1:]
+    assert (cochain_weight(next(iter(basis[0].terms)))
+            != cochain_weight(next(iter(basis[-1].terms))))
+    assert is_cocycle(mixed[0])
+    monkeypatch.setattr(ring, "cohomology_basis", lambda *args: mixed)
+    assert not verify_cohomology_basis(n, m, QQ)
+
+
+def test_cohomology_basis_check_rejects_a_non_cocycle(monkeypatch):
+    """A single term of the opposite parity lies in one weight and in no
+    coboundary span, so only the cocycle test can reject it."""
+    n, m = 3, 2
+    basis = cohomology_basis(n, m, QQ)
+    impure = CochainVector(n, m, QQ, {((1,), (0, 1, 1)): QQ.one})
+    assert not is_cocycle(impure)
+    monkeypatch.setattr(ring, "cohomology_basis",
+                        lambda *args: [impure] + basis[1:])
+    assert not verify_cohomology_basis(n, m, QQ)
+
+
+def test_coboundary_image_splits_by_weight():
+    """A sum of coboundaries of two weights is a coboundary; swapping one
+    part for a cocycle that is no coboundary makes it none."""
+    n, m = 3, 2
+    a = _coboundary(n, m, ((), (1, 0, 0)))
+    b = _coboundary(n, m, ((), (0, 0, 1)))
+    wa = {cochain_weight(key) for key in a.terms}
+    wb = {cochain_weight(key) for key in b.terms}
+    assert len(wa) == len(wb) == 1 and wa != wb
+    assert in_coboundary_image(a.add(b))
+    c = cohomology_basis(n, m, QQ)[0]
+    assert is_cocycle(c) and not in_coboundary_image(c)
+    assert not in_coboundary_image(a.add(c))
 
 
 def test_degree_zero_basis_is_center():
@@ -123,9 +201,9 @@ def test_generator_validation():
 
 
 def test_relation_families_all_hold():
-    for n in (2, 3):
-        assert ring_relations_hold(n, QQ)
-    assert ring_relations_hold(2, GF(5))
+    for n, field in ((2, QQ), (3, QQ), (2, GF(5))):
+        assert not any(rec["failures"]
+                       for rec in verify_ring_relations(n, field))
 
 
 def test_relation_instance_counts_n2():

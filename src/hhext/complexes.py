@@ -3,10 +3,12 @@
 The degree-m term is the exterior algebra tensored with the degree-m
 commutative monomials; its basis elements are keyed by pairs (monomial
 index tuple, exponent vector).  Each differential is written once, as a
-column rule from a key to {target key: value}; ``exactla.keyed_matrix``
-turns a rule into a matrix and ``exactla.apply`` maps vectors through it.
-Ranks never need a global basis: both differentials are block diagonal
-by a Z^n weight, and each block is built and ranked on its own.
+column rule from a key to {target key: value}, its values field elements
+made once per rule by ``field.of``; ``exactla.keyed_matrix`` turns a rule
+into a matrix and ``exactla.apply`` maps vectors through it.  Ranks never
+need a global basis: both differentials are block diagonal by a Z^n
+weight; every block is built in full, and one equal to the block before
+it reuses that block's rank.
 
 A reduced bar complex provides an independent oracle for the same
 dimensions; it never touches the small resolution's generators.
@@ -76,15 +78,17 @@ def _insertions(idx, n, signed):
     return out
 
 
-def _signed_factors(factor_of, n, m, field):
-    """Per monomial degree j, the pair (factor, -factor) of a degree-m
-    column, or None where the factor vanishes."""
-    out = []
+def _insertion_table(factor_of, n, m, field):
+    """For every monomial whose degree-m column has a nonzero factor, its
+    insertions ``_insertions(idx, n, (factor, -factor))``, computed once
+    per column rule; monomials of vanishing factor are left out."""
+    pairs = []
     for j in range(n + 1):
         factor = factor_of(j, m, field)
-        out.append(None if factor == field.zero
-                   else (factor, field.neg(factor)))
-    return out
+        pairs.append(None if factor == field.zero
+                     else (factor, field.neg(factor)))
+    return {idx: _insertions(idx, n, pairs[len(idx)])
+            for idx in monomials(n) if pairs[len(idx)]}
 
 
 def chain_column(n, m, field):
@@ -92,15 +96,12 @@ def chain_column(n, m, field):
     degree m to m - 1: (idx, e) goes to {(idx + h, e - h): factor *
     (-1)^mu} over the h in the support of e outside idx, the factor
     being chain_factor(len(idx), m)."""
-    signed = _signed_factors(chain_factor, n, m, field)
+    table = _insertion_table(chain_factor, n, m, field)
 
     def column(key):
         idx, e = key
-        pair = signed[len(idx)]
-        if pair is None:
-            return {}
         return {(t, e[:h - 1] + (e[h - 1] - 1,) + e[h:]): v
-                for h, t, v in _insertions(idx, n, pair) if e[h - 1]}
+                for h, t, v in table.get(idx, ()) if e[h - 1]}
     return column
 
 
@@ -108,15 +109,12 @@ def cochain_column(n, m, field):
     """Column rule of the cochain differential raising exponent degree m
     to m + 1: (idx, e) goes to {(idx + h, e + h): factor * (-1)^mu} over
     the h outside idx, the factor being cochain_factor(len(idx), m)."""
-    signed = _signed_factors(cochain_factor, n, m, field)
+    table = _insertion_table(cochain_factor, n, m, field)
 
     def column(key):
         idx, e = key
-        pair = signed[len(idx)]
-        if pair is None:
-            return {}
         return {(t, e[:h - 1] + (e[h - 1] + 1,) + e[h:]): v
-                for h, t, v in _insertions(idx, n, pair)}
+                for h, t, v in table.get(idx, ())}
     return column
 
 
@@ -214,14 +212,28 @@ def cochain_domain(n, m, v):
     return _cochain_keys(minus, rest, tuple(max(x, 0) for x in v), size)
 
 
+def _rank_sum(blocks):
+    """Sum of the ranks of the blocks.  A block equal to the one just
+    before it, compared whole by shape and entries, reuses that block's
+    rank; every other block is ranked itself."""
+    total = 0
+    last = last_rank = None
+    for _, M in blocks:
+        block = (M.cols, M.entries)
+        if block != last:
+            last, last_rank = block, rank(M)
+        total += last_rank
+    return total
+
+
 @lru_cache(maxsize=None)
 def chain_rank(n, m, field):
-    return sum(rank(M) for _, M in chain_blocks(n, m, field))
+    return _rank_sum(chain_blocks(n, m, field))
 
 
 @lru_cache(maxsize=None)
 def cochain_rank(n, m, field):
-    return sum(rank(M) for _, M in cochain_blocks(n, m, field))
+    return _rank_sum(cochain_blocks(n, m, field))
 
 
 def hh_dim_computed(n, m, field):

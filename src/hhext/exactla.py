@@ -1,8 +1,9 @@
 """Exact sparse linear algebra over Q and prime fields F_p.
 
 Scalars are plain Python values: ``fractions.Fraction`` over Q, ints in
-[0, p) over F_p.  All arithmetic goes through a field object so the
-elimination code is field-agnostic.  No floating point anywhere.
+[0, p) over F_p; in both a scalar is zero exactly when it is falsy.  All
+arithmetic goes through a field object so the elimination code is
+field-agnostic.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -167,18 +168,19 @@ class SparseMatrix:
 def keyed_matrix(domain, column, field):
     """Matrix of a linear map given by a column rule.
 
-    Column c is ``column(domain[c])``, a mapping {target key: value}.  Each
-    value is converted with ``field.of`` and zeros are dropped; the target
+    Column c is ``column(domain[c])``, a mapping {target key: value}.  The
+    values become field elements here, through ``field.of``, which keeps
+    a value already in the field as it is; zeros are dropped.  The target
     keys that keep a nonzero entry become the rows, numbered in order of
     first use.
     """
-    of, zero = field.of, field.zero
+    of = field.of
     index = {}
     entries = []
     for c, key in enumerate(domain):
         for target, v in column(key).items():
             v = of(v)
-            if v != zero:
+            if v:
                 r = index.get(target)
                 if r is None:
                     index[target] = len(entries)

@@ -192,3 +192,18 @@ def test_reports_match_benchmark_golden(tmp_path):
         assert want, name
         for key, fields in want.items():
             assert got.get(key) == fields, (name, key)
+
+
+def test_dims_over_prime_fields_match_golden(tmp_path):
+    """dims over GF(3) and GF(2), whose ranks the benchmark's Q-only dims
+    workload never takes, writes its JSON report byte for byte as kept in
+    tests/golden."""
+    golden = Path(__file__).resolve().parent / "golden"
+    for char in ("3", "2"):
+        name = f"dims-n5-m6-char{char}.json"
+        out = tmp_path / name
+        code = cli.main(["dims", "--n", "5", "--m-max", "6", "--char", char,
+                         "--format", "json", "--no-timestamp",
+                         "--out", str(out)])
+        assert code == 0, char
+        assert out.read_bytes() == (golden / name).read_bytes(), char

@@ -1,12 +1,13 @@
 """Chain/cochain matrices, dimension computations, bar oracle."""
 
 import inspect
+import json
 from collections import Counter
 from itertools import product
 
 import pytest
 
-from hhext import complexes
+from hhext import cli, complexes
 from hhext.exactla import GF, QQ, apply, keyed_matrix, rank
 from hhext.formulas import (
     chain_rank_double_sum,
@@ -206,6 +207,113 @@ def test_dropped_sign_breaks_d_squared_zero(monkeypatch):
     for n in (2, 3):
         for field in (QQ, GF(3)):
             assert not verify_d_squared_zero(n, 4, field), (n, field)
+
+
+def _flip_one_sign(rule, m0, key0):
+    """The column-rule factory ``rule`` with one sign flipped: in degree
+    m0, the entry of the smallest target in the column of key0."""
+    def make(n, m, field):
+        column = rule(n, m, field)
+        if m != m0:
+            return column
+
+        def mutant(key):
+            col = column(key)
+            if key == key0:
+                target = min(col)
+                col[target] = field.neg(col[target])
+            return col
+        return mutant
+    return make
+
+
+# Per side: the column rule, its rank, the closed double sum, its blocks,
+# the record that compares them, and the degree and key of one planted
+# sign at n = 4.  Each key lies in the middle of three consecutive weight
+# blocks with one and the same matrix: chain weight (1, 2, 0, 1) between
+# (2, 1, 0, 1) and (1, 1, 0, 2), cochain weight (0, 1, 0, 0) between
+# (1, 0, 0, 0) and (0, 0, 1, 0).
+PLANTED = {
+    "chain": ("chain_column", chain_rank, chain_rank_double_sum, chain_blocks,
+              "ranks.chain", 3, ((1,), (0, 2, 0, 1))),
+    "cochain": ("cochain_column", cochain_rank, cochain_rank_double_sum,
+                cochain_blocks, "ranks.cochain", 2, ((1,), (1, 1, 0, 0))),
+}
+
+
+def _neighbourhood(blocks, m0, key0):
+    """(cols, entries) of the block holding key0 and of the blocks just
+    before and after it, in the order the generator yields them."""
+    seen = [(key0 in domain, (M.cols, M.entries))
+            for domain, M in blocks(4, m0, QQ)]
+    i = next(i for i, (has, _) in enumerate(seen) if has)
+    return [block for _, block in seen[i - 1:i + 2]]
+
+
+@pytest.mark.parametrize("side", sorted(PLANTED))
+def test_planted_sign_inside_a_run_of_equal_blocks_is_caught(
+        monkeypatch, tmp_path, side):
+    """One sign flipped in a weight block whose neighbours on both sides
+    are the same matrix takes that side's rank off the double sum in the
+    planted degree only, and ``verify --suite ranks`` fails there.  So
+    the block is compared whole and ranked itself, and does not borrow
+    the rank of the equal-looking block before it."""
+    rule, rank_of, double_sum, blocks, record, m0, key0 = PLANTED[side]
+    before, planted, after = _neighbourhood(blocks, m0, key0)
+    assert before == planted == after
+    monkeypatch.setattr(complexes, rule,
+                        _flip_one_sign(getattr(complexes, rule), m0, key0))
+    before, planted, after = _neighbourhood(blocks, m0, key0)
+    assert before == after != planted
+    rank_of.cache_clear()
+    try:
+        for field in (QQ, GF(3)):
+            for m in range(1, 4):
+                agrees = rank_of(4, m, field) == double_sum(4, m, field.char)
+                assert agrees == (m != m0), (m, field)
+        out = tmp_path / "ranks.json"
+        assert cli.main(["verify", "--n", "4", "--m-max", "3", "--suite",
+                         "ranks", "--format", "json", "--no-timestamp",
+                         "--out", str(out)]) == 1
+        records = json.loads(out.read_text())["records"]
+        failed = {(r["id"], r["params"]["m"]) for r in records
+                  if r["status"] == "fail"
+                  and r["id"] in ("ranks.chain", "ranks.cochain")}
+        assert failed == {(record, m0)}
+    finally:
+        rank_of.cache_clear()
+
+
+def test_rank_reuse_equals_ranking_every_block(monkeypatch):
+    """chain_rank and cochain_rank, which rank a block only when it
+    differs from the block before it, equal the sum of the ranks of all
+    blocks; and at n = 5 they rank fewer blocks than they build, so the
+    reuse takes effect."""
+    chain_rank.cache_clear()
+    cochain_rank.cache_clear()
+    for field in FIELDS:
+        for n in range(2, 6):
+            for m in range(6):
+                if m >= 1:
+                    assert chain_rank(n, m, field) == sum(
+                        rank(M) for _, M in chain_blocks(n, m, field))
+                assert cochain_rank(n, m, field) == sum(
+                    rank(M) for _, M in cochain_blocks(n, m, field))
+    calls = []
+
+    def counting_rank(M):
+        calls.append(M.cols)
+        return rank(M)
+    monkeypatch.setattr(complexes, "rank", counting_rank)
+    for rank_of, blocks in ((chain_rank, chain_blocks),
+                            (cochain_rank, cochain_blocks)):
+        rank_of.cache_clear()
+        calls.clear()
+        try:
+            rank_of(5, 3, QQ)
+        finally:
+            rank_of.cache_clear()
+        assert 0 < len(calls) < sum(1 for _ in blocks(5, 3, QQ))
 
 
 def test_bar_dims():

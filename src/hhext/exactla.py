@@ -198,7 +198,7 @@ def apply(column, vec, field):
     for key, c in vec.items():
         for target, v in column(key).items():
             acc = add(out.get(target, zero), mul(c, v))
-            if acc == zero:
+            if not acc:
                 out.pop(target, None)
             else:
                 out[target] = acc
@@ -245,7 +245,7 @@ def rank(M):
             factor = F.mul(ri.pop(c), pinv)
             for cc, v in prow.items():
                 s = F.sub(ri.get(cc, F.zero), F.mul(factor, v))
-                if s == F.zero:
+                if not s:
                     if cc in ri:
                         del ri[cc]
                         live_cc = col_rows[cc]
@@ -284,7 +284,7 @@ class SpanBasis:
         any pivot row is changed."""
         F = self.field
         zero = F.zero
-        rd = {i: v for i, v in vec.items() if v != zero}
+        rd = {i: v for i, v in vec.items() if v}
         while rd:
             c = min(rd)
             prow = self.pivots.get(c)
@@ -295,7 +295,7 @@ class SpanBasis:
                 if cc == c:
                     continue
                 s = F.sub(rd.get(cc, zero), F.mul(factor, v))
-                if s == zero:
+                if not s:
                     rd.pop(cc, None)
                 else:
                     rd[cc] = s

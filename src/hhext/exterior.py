@@ -9,6 +9,7 @@ standing assumption n >= 2 is enforced everywhere; n = 1 is rejected.
 
 from __future__ import annotations
 
+from bisect import bisect
 from itertools import combinations
 
 from .exactla import SpanBasis
@@ -36,13 +37,13 @@ def merge_signed(a, b):
         return 1, a
     if not a:
         return 1, b
-    sa = set(a)
     inversions = 0
     for t in b:
-        if t in sa:
+        k = bisect(a, t)  # a[:k] <= t < a[k:]; a[-1] > t when k = 0
+        if a[k - 1] == t:
             return None
-        inversions += sum(1 for s in a if s > t)
-    return (-1) ** (inversions % 2), tuple(sorted(a + b))
+        inversions += len(a) - k
+    return -1 if inversions & 1 else 1, tuple(sorted(a + b))
 
 
 def commutator(a, b, field):
@@ -54,7 +55,7 @@ def commutator(a, b, field):
         if res is not None:
             out[res[1]] = out.get(res[1], 0) + sign * res[0]
     out = {mono: field.of(c) for mono, c in out.items()}
-    return {mono: c for mono, c in out.items() if c != field.zero}
+    return {mono: c for mono, c in out.items() if c}
 
 
 def center_basis(n, field):

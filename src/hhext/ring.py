@@ -17,6 +17,7 @@ weight blocks it touches.
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from itertools import combinations, combinations_with_replacement, product
 
@@ -51,7 +52,7 @@ class CochainVector:
         for (idx, e), c in terms.items():
             if len(e) != n or sum(e) != m:
                 raise ValueError(f"exponent vector {e} has wrong degree for m={m}")
-            if c != field.zero:
+            if c:
                 clean[(idx, e)] = c
         self.terms = clean
 
@@ -61,21 +62,21 @@ class CochainVector:
     def add(self, other):
         self._check(other)
         out = dict(self.terms)
-        F = self.field
+        add = self.field.add
         for key, c in other.terms.items():
-            v = F.add(out.get(key, F.zero), c)
-            if v == F.zero:
-                out.pop(key, None)
-            else:
-                out[key] = v
-        return CochainVector(self.n, self.m, F, out)
+            if key in out:
+                c = add(out[key], c)
+                if not c:
+                    del out[key]
+                    continue
+            out[key] = c
+        return _cochain(self.n, self.m, self.field, out)
 
     def scale(self, c):
         F = self.field
         c = F.of(c)
-        return CochainVector(
-            self.n, self.m, F, {k: F.mul(c, v) for k, v in self.terms.items()}
-        )
+        terms = {k: F.mul(c, v) for k, v in self.terms.items()} if c else {}
+        return _cochain(self.n, self.m, F, terms)
 
     def sub(self, other):
         return self.add(other.scale(-1))
@@ -97,6 +98,14 @@ class CochainVector:
         return f"CochainVector(n={self.n}, m={self.m}, {self.terms})"
 
 
+def _cochain(n, m, field, terms):
+    """A CochainVector built without the constructor's checks, for terms
+    already known to be valid keys of degree m with nonzero scalars."""
+    vec = CochainVector.__new__(CochainVector)
+    vec.n, vec.m, vec.field, vec.terms = n, m, field, terms
+    return vec
+
+
 def zero_cochain(n, m, field):
     return CochainVector(n, m, field, {})
 
@@ -110,7 +119,7 @@ def apply_differential(vec):
     """Image of the cochain under the cochain differential, one degree up."""
     F = vec.field
     column = cochain_column(vec.n, vec.m, F)
-    return CochainVector(vec.n, vec.m + 1, F, apply(column, vec.terms, F))
+    return _cochain(vec.n, vec.m + 1, F, apply(column, vec.terms, F))
 
 
 def is_cocycle(vec):
@@ -168,25 +177,25 @@ def cup(a, b):
     """Cup product: multiply monomial parts, add exponent vectors."""
     if a.n != b.n or a.field != b.field:
         raise ValueError("incompatible cochains")
-    n, F = a.n, a.field
+    F = a.field
+    add, mul, neg, plus = F.add, F.mul, F.neg, operator.add
     out = {}
     for (l1, e1), c1 in a.terms.items():
         for (l2, e2), c2 in b.terms.items():
             res = merge_signed(l1, l2)
             if res is None:
                 continue
-            sign, merged = res
-            e = tuple(x + y for x, y in zip(e1, e2))
-            v = F.mul(c1, c2)
-            if sign < 0:
-                v = F.neg(v)
-            key = (merged, e)
-            acc = F.add(out.get(key, F.zero), v)
-            if acc == F.zero:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    return CochainVector(n, a.m + b.m, F, out)
+            v = mul(c1, c2)
+            if res[0] < 0:
+                v = neg(v)
+            key = (res[1], tuple(map(plus, e1, e2)))
+            if key in out:
+                v = add(out[key], v)
+                if not v:
+                    del out[key]
+                    continue
+            out[key] = v
+    return _cochain(a.n, a.m + b.m, F, out)
 
 
 def cohomology_basis(n, m, field):
@@ -465,7 +474,7 @@ def verify_unital(n, field, total_deg_max):
     one = unit_class(n, field)
     for m in range(total_deg_max + 1):
         for key in _basis_terms(n, m, field.char != 2):
-            v = CochainVector(n, m, field, {key: field.one})
+            v = _cochain(n, m, field, {key: field.one})
             if cup(one, v) != v or cup(v, one) != v:
                 return False
     return True
@@ -550,7 +559,7 @@ def presentation_audit(n, deg_max, field):
                 clean = False
                 break
             (key, c), = val.terms.items()
-            if c == field.zero or key in keys:
+            if not c or key in keys:
                 clean = False
                 break
             if not same_parity(len(key[0]), d):
@@ -603,9 +612,9 @@ def char2_ring_check(n, deg_max, field):
             right = _basis_terms(n, t, False)
             for l1, e1 in _basis_terms(n, s, False):
                 set1 = set(l1)
-                a = CochainVector(n, s, field, {(l1, e1): field.one})
+                a = _cochain(n, s, field, {(l1, e1): field.one})
                 for l2, e2 in right:
-                    b = CochainVector(n, t, field, {(l2, e2): field.one})
+                    b = _cochain(n, t, field, {(l2, e2): field.one})
                     got = cup(a, b)
                     if set1 & set(l2):
                         if not got.is_zero():

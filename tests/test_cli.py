@@ -194,16 +194,34 @@ def test_reports_match_benchmark_golden(tmp_path):
             assert got.get(key) == fields, (name, key)
 
 
+def _matches_tier1_golden(tmp_path, name, argv):
+    """Whether the JSON report of argv, run in-process, equals
+    tests/golden/<name> byte for byte."""
+    out = tmp_path / name
+    code = cli.main([*argv, "--format", "json", "--no-timestamp",
+                     "--out", str(out)])
+    assert code == 0, name
+    golden = Path(__file__).resolve().parent / "golden" / name
+    return out.read_bytes() == golden.read_bytes()
+
+
 def test_dims_over_prime_fields_match_golden(tmp_path):
     """dims over GF(3) and GF(2), whose ranks the benchmark's Q-only dims
     workload never takes, writes its JSON report byte for byte as kept in
     tests/golden."""
-    golden = Path(__file__).resolve().parent / "golden"
     for char in ("3", "2"):
-        name = f"dims-n5-m6-char{char}.json"
-        out = tmp_path / name
-        code = cli.main(["dims", "--n", "5", "--m-max", "6", "--char", char,
-                         "--format", "json", "--no-timestamp",
-                         "--out", str(out)])
-        assert code == 0, char
-        assert out.read_bytes() == (golden / name).read_bytes(), char
+        assert _matches_tier1_golden(
+            tmp_path, f"dims-n5-m6-char{char}.json",
+            ["dims", "--n", "5", "--m-max", "6", "--char", char]), char
+
+
+def test_ring_over_prime_fields_matches_golden(tmp_path):
+    """ring in characteristic 2 (the product check of char2_ring_check)
+    and over GF(5), cup paths that no benchmark workload takes, writes
+    its JSON report byte for byte as kept in tests/golden."""
+    for name, argv in (
+            ("ring-n4-d4-char2.json",
+             ["ring", "--n", "4", "--deg-max", "4", "--char", "2"]),
+            ("ring-n3-d5-char5.json",
+             ["ring", "--n", "3", "--deg-max", "5", "--char", "5"])):
+        assert _matches_tier1_golden(tmp_path, name, argv), name

@@ -30,6 +30,33 @@ def test_merge_signed():
     assert merge_signed((3, 4), (2,)) == (1, (2, 3, 4))
 
 
+def _bubble_merge(a, b):
+    """merge_signed by brute force: None on a shared index, else the sign
+    of the adjacent swaps a bubble sort of a + b makes."""
+    word = list(a + b)
+    if len(set(word)) < len(word):
+        return None
+    swaps = 0
+    for end in range(len(word) - 1, 0, -1):
+        for i in range(end):
+            if word[i] > word[i + 1]:
+                word[i], word[i + 1] = word[i + 1], word[i]
+                swaps += 1
+    return (-1) ** swaps, tuple(word)
+
+
+def test_merge_signed_matches_bubble_sort_on_every_pair():
+    """Every ordered pair of monomials for n <= 6; the 4^n - 3^n pairs
+    that share an index give None."""
+    for n in range(2, 7):
+        shared = 0
+        for a, b in product(monomials(n), repeat=2):
+            want = _bubble_merge(a, b)
+            assert merge_signed(a, b) == want, (a, b)
+            shared += want is None
+        assert shared == 4 ** n - 3 ** n
+
+
 def test_square_of_linear_form_vanishes():
     """(x1 + x2)^2 = x1x2 + x2x1 = 0, the defining relations combined."""
     square = {}

@@ -1,11 +1,13 @@
 """Cup product ring: classes, relations, presentation, characteristic 2."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hhext import complexes, ring
-from hhext.complexes import cochain_weight
+from hhext.complexes import chain_keys, cochain_weight
 from hhext.exactla import GF, QQ
-from hhext.exterior import merge_signed
+from hhext.exterior import merge_signed, monomials
+from hhext.resolution import exponent_vectors
 from hhext.ring import (
     CochainVector,
     apply_differential,
@@ -275,6 +277,93 @@ def test_planted_defects_fail_structure_checks(monkeypatch, field):
         mp.setattr(ring, "merge_signed", _flipped_merge)
         assert not verify_graded_commutativity(n, field, deg_max)
         assert not verify_associativity(n, field, deg_max)
+
+
+# Property tests of cup and the vector operations against references that
+# pass every result through the validating constructor.
+
+def _reference_cup(a, b):
+    """The cup product with an explicit zero test per term pair."""
+    F = a.field
+    out = {}
+    for (l1, e1), c1 in a.terms.items():
+        for (l2, e2), c2 in b.terms.items():
+            res = merge_signed(l1, l2)
+            if res is None:
+                continue
+            sign, merged = res
+            e = tuple(x + y for x, y in zip(e1, e2))
+            v = F.mul(c1, c2)
+            if sign < 0:
+                v = F.neg(v)
+            key = (merged, e)
+            acc = F.add(out.get(key, F.zero), v)
+            if acc == F.zero:
+                out.pop(key, None)
+            else:
+                out[key] = acc
+    return CochainVector(a.n, a.m + b.m, F, out)
+
+
+def _reference_combination(a, b, c):
+    """a + c * b, key by key."""
+    F = a.field
+    c = F.of(c)
+    return CochainVector(a.n, a.m, F, {
+        k: F.add(a.terms.get(k, F.zero), F.mul(c, b.terms.get(k, F.zero)))
+        for k in a.terms.keys() | b.terms.keys()})
+
+
+@st.composite
+def _cochains(draw, n, m, field, keys=None):
+    """A cochain on at most six of the given keys (default: every key of
+    degree m), with coefficients in -3..3, zeros dropped."""
+    keys = draw(st.lists(st.sampled_from(keys or chain_keys(n, m)),
+                         max_size=6, unique=True))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(keys),
+                           max_size=len(keys)))
+    return CochainVector(n, m, field, {
+        k: field.of(c) for k, c in zip(keys, coeffs)})
+
+
+@st.composite
+def _cochain_pairs(draw):
+    """(a, b) of degrees s and t at random, or a pair built to cancel: a
+    holds odd monomials against one exponent vector, so every product of
+    two of its terms cancels in cup(a, a), and b is a or -a shifted by
+    one term of the same degree, so a - b or a + b is that one term."""
+    field = draw(st.sampled_from((QQ, GF(3), GF(2))))
+    n = draw(st.integers(2, 4))
+    s, t = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if not draw(st.booleans()):
+        return draw(_cochains(n, s, field)), draw(_cochains(n, t, field))
+    e = draw(st.sampled_from(exponent_vectors(n, s)))
+    a = draw(_cochains(n, s, field, [
+        (idx, e) for idx in monomials(n) if len(idx) % 2]))
+    shift = {draw(st.sampled_from(chain_keys(n, s))): field.one}
+    return a, a.scale(draw(st.sampled_from((1, -1)))).add(
+        CochainVector(n, s, field, shift))
+
+
+def _stored_exactly(vec, want):
+    return vec == want and all(vec.terms.values())
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(pair=_cochain_pairs(), c=st.integers(-3, 3))
+def test_cup_and_vector_operations_match_references(pair, c):
+    """cup, add, sub and scale equal references built through the
+    validating constructor, and store no zero coefficient."""
+    a, b = pair
+    assert _stored_exactly(cup(a, b), _reference_cup(a, b))
+    assert _stored_exactly(cup(b, a), _reference_cup(b, a))
+    assert _stored_exactly(cup(a, a), _reference_cup(a, a))
+    assert _stored_exactly(a.scale(c), _reference_combination(
+        zero_cochain(a.n, a.m, a.field), a, c))
+    if a.m == b.m:
+        assert _stored_exactly(a.add(b), _reference_combination(a, b, 1))
+        assert _stored_exactly(a.sub(b), _reference_combination(a, b, -1))
+        assert _stored_exactly(b.sub(b), zero_cochain(a.n, a.m, a.field))
 
 
 def test_specific_anticommutation():

@@ -315,7 +315,7 @@ def _build_report(args, records):
         "summary": summary,
     }
     for opt in ("m_max", "deg_max", "suite", "oracle_cap"):
-        if hasattr(args, opt.replace("-", "_")) and getattr(args, opt) is not None:
+        if getattr(args, opt, None) is not None:
             report["config"][opt] = getattr(args, opt)
     if not args.no_timestamp:
         report["generated_at"] = datetime.now(timezone.utc).isoformat(

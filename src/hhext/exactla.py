@@ -4,6 +4,9 @@ Scalars are plain Python values: ``fractions.Fraction`` over Q, ints in
 [0, p) over F_p; in both a scalar is zero exactly when it is falsy.  All
 arithmetic goes through a field object so the elimination code is
 field-agnostic.  No floating point anywhere.
+
+``rank`` is the one elimination routine; a span question is asked as a
+rank difference (``rank_gain``).
 """
 
 from __future__ import annotations
@@ -262,54 +265,10 @@ def rank(M):
     return r
 
 
-class SpanBasis:
-    """Incremental row echelon over a field, for span membership queries.
-
-    Vectors are sparse dicts {key: value} over mutually comparable keys;
-    the smallest key of a reduced vector is its pivot.  ``insert`` adds a
-    vector to the span, ``reduce`` returns the residual of a vector
-    against the current span, and ``contains`` tests membership.
-    """
-
-    def __init__(self, field):
-        self.field = field
-        self.pivots = {}
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-    def reduce(self, vec):
-        """Residual of vec against the span, as a new dict; neither vec nor
-        any pivot row is changed."""
-        F = self.field
-        zero = F.zero
-        rd = {i: v for i, v in vec.items() if v}
-        while rd:
-            c = min(rd)
-            prow = self.pivots.get(c)
-            if prow is None:
-                return rd
-            factor = rd.pop(c)
-            for cc, v in prow.items():
-                if cc == c:
-                    continue
-                s = F.sub(rd.get(cc, zero), F.mul(factor, v))
-                if not s:
-                    rd.pop(cc, None)
-                else:
-                    rd[cc] = s
-        return rd
-
-    def insert(self, vec):
-        F = self.field
-        rd = self.reduce(vec)
-        if not rd:
-            return False
-        c = min(rd)
-        inv = F.inv(rd[c])
-        self.pivots[c] = {cc: F.mul(v, inv) for cc, v in rd.items()}
-        return True
-
-    def contains(self, vec):
-        return not self.reduce(vec)
+def rank_gain(columns, vecs, field):
+    """How much the keyed vectors ``vecs`` raise the rank of ``columns``:
+    0 when each lies in their span, ``len(vecs)`` when they are
+    independent modulo it.  Neither list is changed."""
+    def rank_of(L):
+        return rank(keyed_matrix(range(len(L)), L.__getitem__, field))
+    return rank_of(columns + vecs) - rank_of(columns)

@@ -10,9 +10,9 @@ standing assumption n >= 2 is enforced everywhere; n = 1 is rejected.
 from __future__ import annotations
 
 from bisect import bisect
-from itertools import combinations
+from itertools import combinations, product
 
-from .exactla import SpanBasis
+from .exactla import keyed_matrix, rank
 
 
 def check_n(n):
@@ -82,12 +82,9 @@ def center_basis(n, field):
 
 
 def commutator_quotient_dim(n, field):
-    """dim of the quotient by the commutator subspace, computed by
-    spanning all commutators over basis pairs and taking the codimension.
+    """dim of the quotient by the commutator subspace: the codimension of
+    the span of all commutators over basis pairs.
     """
-    basis = monomials(n)
-    span = SpanBasis(field)
-    for a in basis:
-        for b in basis:
-            span.insert(commutator(a, b, field))
-    return 2 ** n - span.rank
+    pairs = list(product(monomials(n), repeat=2))
+    M = keyed_matrix(pairs, lambda p: commutator(*p, field), field)
+    return 2 ** n - rank(M)

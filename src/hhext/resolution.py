@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
-from .exactla import QQ, SpanBasis, keyed_matrix, rank
+from .exactla import QQ, keyed_matrix, rank, rank_gain
 from .exterior import check_n, merge_signed
 from .formulas import binom
 
@@ -91,17 +91,12 @@ def verify_left_right(n, m):
     return True
 
 
-def _relation_span(n):
-    """Echelonized span of the quadratic relations x_i^2 and
-    x_i x_j + x_j x_i inside the degree-2 word space, with word index
-    (i-1)*n + (j-1) for the word x_i x_j.
+def _relations(n):
+    """The quadratic relations x_i x_j + x_j x_i for i <= j (x_i^2 when
+    i = j, the two words coinciding), as vectors over the degree-2 words.
     """
-    span = SpanBasis(QQ)
-    for i in range(1, n + 1):
-        span.insert({(i - 1) * n + (i - 1): 1})
-        for j in range(i + 1, n + 1):
-            span.insert({(i - 1) * n + (j - 1): 1, (j - 1) * n + (i - 1): 1})
-    return span
+    return [{(i, j): 1, (j, i): 1}
+            for i in range(1, n + 1) for j in range(i, n + 1)]
 
 
 def verify_relation_window_membership(n, m):
@@ -110,24 +105,22 @@ def verify_relation_window_membership(n, m):
     of length q).
 
     Checked by grouping each generator's words on (prefix, suffix) and
-    testing the induced degree-2 middle factors against the relation span.
+    testing that the induced degree-2 middle factors do not raise the rank
+    of the relations.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    span = _relation_span(n)
+    relations = _relations(n)
     for e in exponent_vectors(n, m):
         poly = generator_polynomial(n, e)
         for p in range(0, m - 1):
             groups = {}
             for word, c in poly.items():
-                key = (word[:p], word[p + 2:])
+                g = groups.setdefault((word[:p], word[p + 2:]), {})
                 mid = word[p:p + 2]
-                g = groups.setdefault(key, {})
-                idx = (mid[0] - 1) * n + (mid[1] - 1)
-                g[idx] = g.get(idx, 0) + c
+                g[mid] = g.get(mid, 0) + c
             for g in groups.values():
-                vec = {i: QQ.of(c) for i, c in g.items() if c}
-                if not span.contains(vec):
+                if rank_gain(relations, [g], QQ):
                     return False
     return True
 

@@ -1,4 +1,5 @@
-"""Exact sparse linear algebra: fields, rank, kernels, span membership."""
+"""Exact sparse linear algebra: fields, rank, kernels, span membership as
+a rank difference."""
 
 import time
 from fractions import Fraction
@@ -10,12 +11,12 @@ from hhext.exactla import (
     GF,
     PRIME_BOUND,
     QQ,
-    SpanBasis,
     apply,
     field_of_char,
     keyed_matrix,
     _is_prime,
     rank,
+    rank_gain,
 )
 
 
@@ -152,14 +153,15 @@ def test_rank_deterministic():
     assert rank(MQ) == rank(MQ) == 3
 
 
-def test_span_basis_membership():
-    sb = SpanBasis(QQ)
-    assert sb.insert({0: Fraction(1), 1: Fraction(1)})
-    assert sb.insert({1: Fraction(1)})
-    assert not sb.insert({0: Fraction(2)})
-    assert sb.rank == 2
-    assert sb.contains({0: Fraction(5), 1: Fraction(-1)})
-    assert not sb.contains({2: Fraction(1)})
+def test_rank_gain_membership():
+    span = [{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}]
+    assert rank_gain([], span, QQ) == 2
+    assert rank_gain(span, [{0: Fraction(2)}], QQ) == 0
+    assert rank_gain(span, [{0: Fraction(5), 1: Fraction(-1)}], QQ) == 0
+    assert rank_gain(span, [{2: Fraction(1)}], QQ) == 1
+    # two new directions, and a third vector in the span of all four
+    more = [{2: Fraction(1)}, {3: Fraction(1)}, {0: Fraction(1), 3: Fraction(7)}]
+    assert rank_gain(span, more, QQ) == 2
 
 
 # Property tests on small integer matrices, drawn deterministically.
@@ -209,24 +211,17 @@ def test_rank_mod_p_at_most_rank_over_q(A):
 @PROPERTY_SETTINGS
 @given(A=int_matrices(),
        probe=st.lists(st.integers(-3, 3), min_size=6, max_size=6))
-def test_span_basis_rank_equals_rank(A, probe):
-    """Inserting the rows one by one reaches the rank; reduce and insert
-    change neither their argument nor an existing pivot row, and every
-    inserted row reduces to zero."""
+def test_rank_gain_is_a_rank_difference(A, probe):
+    """The rows gain their own rank over the empty span, and a probe gains
+    nothing over the rows exactly when stacking it under them leaves the
+    rank unchanged; neither argument is changed."""
     for field in FIELDS:
-        M = dense(A, field)
-        span = SpanBasis(field)
-        vecs = [{c: field.of(v) for c, v in enumerate(row)} for row in A]
-        for vec in vecs:
-            before = dict(vec)
-            pivots = {c: dict(row) for c, row in span.pivots.items()}
-            span.insert(vec)
-            assert vec == before
-            assert all(span.pivots[c] == row for c, row in pivots.items())
-        assert span.rank == rank(M)
-        pivots = {c: dict(row) for c, row in span.pivots.items()}
-        assert all(span.contains(vec) for vec in vecs)
+        r = rank(dense(A, field))
+        rows = [{c: field.of(v) for c, v in enumerate(row)} for row in A]
         extra = {c: field.of(v) for c, v in enumerate(probe[:len(A[0])])}
-        grows = rank(dense(A + [probe[:len(A[0])]], field)) > rank(M)
-        assert span.contains(extra) != grows
-        assert span.pivots == pivots
+        before = [dict(vec) for vec in rows], dict(extra)
+        assert rank_gain([], rows, field) == r
+        grows = rank(dense(A + [probe[:len(A[0])]], field)) > r
+        assert (rank_gain(rows, [extra], field) == 0) != grows
+        assert ([dict(vec) for vec in rows], dict(extra)) == before
+        assert len(rows) == len(A)

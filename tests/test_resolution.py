@@ -2,6 +2,7 @@
 
 import pytest
 
+from hhext import resolution
 from hhext.formulas import binom
 from hhext.resolution import (
     exponent_vectors,
@@ -52,6 +53,27 @@ def test_relation_window_membership():
     for n in (2, 3):
         for m in range(2, 5):
             assert verify_relation_window_membership(n, m)
+
+
+def test_relation_window_membership_fails_under_planted_defects(monkeypatch):
+    """A generator with unequal x_1 x_2 and x_2 x_1 coefficients, or a
+    relation list with x_1 x_2 - x_2 x_1 in place of x_1 x_2 + x_2 x_1,
+    puts a middle slice outside the relations, and the check fails."""
+    n, m = 2, 2
+    assert verify_relation_window_membership(n, m)
+    true_poly = resolution.generator_polynomial
+    lopsided = lambda n, e: ({(1, 2): 1, (2, 1): 2} if e == (1, 1)
+                             else true_poly(n, e))
+    monkeypatch.setattr(resolution, "generator_polynomial", lopsided)
+    assert not verify_relation_window_membership(n, m)
+    monkeypatch.undo()
+
+    relations = resolution._relations(n)
+    flipped = [{k: v if k == min(rel) else -v for k, v in rel.items()}
+               for rel in relations]
+    assert sum(rel != old for rel, old in zip(flipped, relations)) == 1
+    monkeypatch.setattr(resolution, "_relations", lambda n: flipped)
+    assert not verify_relation_window_membership(n, m)
 
 
 def test_generator_space_dimension():

@@ -86,7 +86,7 @@ def _insertion_table(factor_of, n, m, field):
     for j in range(n + 1):
         factor = factor_of(j, m, field)
         pairs.append(None if factor == field.zero
-                     else (factor, field.neg(factor)))
+                     else (factor, field.of(-factor)))
     return {idx: _insertions(idx, n, pairs[len(idx)])
             for idx in monomials(n) if pairs[len(idx)]}
 

@@ -1,9 +1,11 @@
 """Exact sparse linear algebra over Q and prime fields F_p.
 
 Scalars are plain Python values: ``fractions.Fraction`` over Q, ints in
-[0, p) over F_p; in both a scalar is zero exactly when it is falsy.  All
-arithmetic goes through a field object so the elimination code is
-field-agnostic.  No floating point anywhere.
+[0, p) over F_p; in both a scalar is zero exactly when it is falsy.
+Scalars combine with ``+ - *``; ``field.of`` normalises the result (the
+identity on a Fraction, reduction mod p on an int) and ``field.inv``
+inverts a nonzero scalar, so the elimination code is field-agnostic.  No
+floating point anywhere.
 
 ``rank`` is the one elimination routine; a span question is asked as a
 rank difference (``rank_gain``).
@@ -61,20 +63,8 @@ class RationalField:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
-        return 1 / a
+        return self.one / a
 
     def __repr__(self):
         return "QQ"
@@ -103,18 +93,6 @@ class PrimeField:
         if isinstance(x, Fraction):
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
         return x % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         return pow(a, -1, self.p)
@@ -196,11 +174,11 @@ def keyed_matrix(domain, column, field):
 def apply(column, vec, field):
     """Image of the keyed vector {key: scalar} under the linear map with
     the given column rule, as {target key: nonzero scalar}."""
-    add, mul, zero = field.add, field.mul, field.zero
+    of, zero = field.of, field.zero
     out = {}
     for key, c in vec.items():
         for target, v in column(key).items():
-            acc = add(out.get(target, zero), mul(c, v))
+            acc = of(out.get(target, zero) + c * v)
             if not acc:
                 out.pop(target, None)
             else:
@@ -216,6 +194,7 @@ def rank(M):
     this package produces and is fully deterministic.
     """
     F = M.field
+    of, zero = F.of, F.zero
     rows = {}
     col_rows = {}
     for i, rd in enumerate(M.entries):
@@ -245,9 +224,9 @@ def rank(M):
             if i == pr:
                 continue
             ri = rows[i]
-            factor = F.mul(ri.pop(c), pinv)
+            factor = of(ri.pop(c) * pinv)
             for cc, v in prow.items():
-                s = F.sub(ri.get(cc, F.zero), F.mul(factor, v))
+                s = of(ri.get(cc, zero) - factor * v)
                 if not s:
                     if cc in ri:
                         del ri[cc]

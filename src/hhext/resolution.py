@@ -104,24 +104,22 @@ def verify_relation_window_membership(n, m):
     p + q = m - 2, of (words of length p) * (quadratic relations) * (words
     of length q).
 
-    Checked by grouping each generator's words on (prefix, suffix) and
-    testing that the induced degree-2 middle factors do not raise the rank
-    of the relations.
+    Checked by grouping each generator's words on (split, prefix, suffix)
+    and testing that the induced degree-2 middle factors, over all splits
+    at once, do not raise the rank of the relations.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     relations = _relations(n)
     for e in exponent_vectors(n, m):
-        poly = generator_polynomial(n, e)
-        for p in range(0, m - 1):
-            groups = {}
-            for word, c in poly.items():
-                g = groups.setdefault((word[:p], word[p + 2:]), {})
+        groups = {}
+        for word, c in generator_polynomial(n, e).items():
+            for p in range(0, m - 1):
+                g = groups.setdefault((p, word[:p], word[p + 2:]), {})
                 mid = word[p:p + 2]
                 g[mid] = g.get(mid, 0) + c
-            for g in groups.values():
-                if rank_gain(relations, [g], QQ):
-                    return False
+        if rank_gain(relations, list(groups.values()), QQ):
+            return False
     return True
 
 

@@ -62,10 +62,10 @@ class CochainVector:
     def add(self, other):
         self._check(other)
         out = dict(self.terms)
-        add = self.field.add
+        of = self.field.of
         for key, c in other.terms.items():
             if key in out:
-                c = add(out[key], c)
+                c = of(out[key] + c)
                 if not c:
                     del out[key]
                     continue
@@ -75,7 +75,7 @@ class CochainVector:
     def scale(self, c):
         F = self.field
         c = F.of(c)
-        terms = {k: F.mul(c, v) for k, v in self.terms.items()} if c else {}
+        terms = {k: F.of(c * v) for k, v in self.terms.items()} if c else {}
         return _cochain(self.n, self.m, F, terms)
 
     def sub(self, other):
@@ -171,19 +171,17 @@ def cup(a, b):
     if a.n != b.n or a.field != b.field:
         raise ValueError("incompatible cochains")
     F = a.field
-    add, mul, neg, plus = F.add, F.mul, F.neg, operator.add
+    of, plus = F.of, operator.add
     out = {}
     for (l1, e1), c1 in a.terms.items():
         for (l2, e2), c2 in b.terms.items():
             res = merge_signed(l1, l2)
             if res is None:
                 continue
-            v = mul(c1, c2)
-            if res[0] < 0:
-                v = neg(v)
+            v = of(c1 * c2 if res[0] > 0 else -(c1 * c2))
             key = (res[1], tuple(map(plus, e1, e2)))
             if key in out:
-                v = add(out[key], v)
+                v = of(out[key] + v)
                 if not v:
                     del out[key]
                     continue

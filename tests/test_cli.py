@@ -175,9 +175,10 @@ def _record_fields(path):
 
 
 def test_reports_match_benchmark_golden(tmp_path):
-    """Two benchmark workloads, run in-process, reproduce every record of
-    their golden reports in status, expected and computed."""
+    """The three benchmark workloads, run in-process, reproduce every
+    record of their golden reports in status, expected and computed."""
     workloads = {
+        "dims-q": ["dims", "--n", "7", "--m-max", "5"],
         "ring-q": ["ring", "--n", "5", "--deg-max", "4"],
         "verify-gf3": ["verify", "--n", "3", "--m-max", "4", "--suite", "all",
                        "--oracle-cap", "300000", "--char", "3"],

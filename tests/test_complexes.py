@@ -221,7 +221,7 @@ def _flip_one_sign(rule, m0, key0):
             col = column(key)
             if key == key0:
                 target = min(col)
-                col[target] = field.neg(col[target])
+                col[target] = field.of(-col[target])
             return col
         return mutant
     return make

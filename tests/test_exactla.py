@@ -33,9 +33,11 @@ def from_entries(rows, cols, field, entries):
 def test_rational_field_ops():
     """Q arithmetic runs on Fractions and keeps exactness."""
     assert QQ.of(2) == Fraction(2)
-    assert QQ.add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
+    assert QQ.of(Fraction(1, 3) + Fraction(1, 6)) == Fraction(1, 2)
     assert QQ.inv(Fraction(3, 7)) == Fraction(7, 3)
-    assert QQ.neg(QQ.one) == Fraction(-1)
+    assert QQ.of(-QQ.one) == Fraction(-1)
+    # an int inverts to a Fraction, never to a float
+    assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
     assert QQ.char == 0
 
 
@@ -43,7 +45,8 @@ def test_prime_field_ops():
     F = GF(7)
     assert F.of(10) == 3
     assert F.of(Fraction(1, 2)) == 4
-    assert F.mul(3, 5) == 1
+    assert F.of(3 * 5) == 1
+    assert F.of(-3) == 4
     assert F.inv(3) == 5
     assert F.char == 7
 
@@ -198,6 +201,42 @@ def test_rank_invariant_under_permutation_and_transposition(A, data):
         assert rank(dense(permuted, field)) == r
         assert rank(dense(transposed, field)) == r
         assert r <= min(len(A), len(A[0]))
+
+
+def reference_rank(A, p):
+    """Rank of the integer matrix A by dense Gauss-Jordan elimination,
+    over Q (p = 0, with Fractions) or over GF(p) (ints mod p), with no
+    use of hhext.exactla."""
+    if p:
+        rows = [[v % p for v in row] for row in A]
+        inv = lambda x: pow(x, -1, p)
+        norm = lambda x: x % p
+    else:
+        rows = [[Fraction(v) for v in row] for row in A]
+        inv = lambda x: 1 / x
+        norm = lambda x: x
+    r = 0
+    for c in range(len(A[0])):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        scale = inv(rows[r][c])
+        rows[r] = [norm(v * scale) for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [norm(v - f * w) for v, w in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+@PROPERTY_SETTINGS
+@given(A=int_matrices())
+def test_rank_matches_dense_reference(A):
+    """rank equals an independent dense elimination over every field."""
+    for field in FIELDS:
+        assert rank(dense(A, field)) == reference_rank(A, field.char)
 
 
 @PROPERTY_SETTINGS

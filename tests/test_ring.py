@@ -219,6 +219,35 @@ def test_relation_instance_counts_n2():
     assert by_id["deg11.1"] == 8
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF3"])
+def test_relation_record_fails_under_a_flipped_right_hand_side(monkeypatch,
+                                                               field):
+    """With the sign of the deg11.2 right-hand side flipped, every deg11.2
+    instance at n = 3 fails and no other family does.  Each flipped
+    instance leaves a nonzero cocycle, so the check reaches
+    in_coboundary_image, which no unplanted instance needs."""
+    true_instances = ring.relation_instances
+    true_in_image = ring.in_coboundary_image
+    reached = []
+
+    def flipped(n, field):
+        for fid, inst, lhs, rhs in true_instances(n, field):
+            yield fid, inst, lhs, rhs.scale(-1) if fid == "deg11.2" else rhs
+
+    def in_image(vec):
+        reached.append(vec)
+        return true_in_image(vec)
+
+    monkeypatch.setattr(ring, "relation_instances", flipped)
+    monkeypatch.setattr(ring, "in_coboundary_image", in_image)
+    recs = {rec["family"]: rec for rec in verify_ring_relations(3, field)}
+    assert recs["deg11.2"]["instances"] == 18
+    assert len(recs["deg11.2"]["failures"]) == 18
+    assert not any(rec["failures"] for fid, rec in recs.items()
+                   if fid != "deg11.2")
+    assert len(reached) == 18
+
+
 def test_graded_commutativity_and_associativity():
     assert verify_graded_commutativity(2, QQ, 4)
     assert verify_associativity(2, QQ, 4)
@@ -242,11 +271,11 @@ def _mutant_cup(drop_sign=False, square_left=False):
                 res = merge_signed(l1, l2)
                 if res is None:
                     continue
-                v = F.mul(c1, c1 if square_left else c2)
+                v = c1 * (c1 if square_left else c2)
                 if res[0] < 0 and not drop_sign:
-                    v = F.neg(v)
+                    v = -v
                 key = (res[1], tuple(x + y for x, y in zip(e1, e2)))
-                out[key] = F.add(out.get(key, F.zero), v)
+                out[key] = F.of(out.get(key, F.zero) + v)
         return CochainVector(a.n, a.m + b.m, F, out)
     return mutant
 
@@ -293,11 +322,11 @@ def _reference_cup(a, b):
                 continue
             sign, merged = res
             e = tuple(x + y for x, y in zip(e1, e2))
-            v = F.mul(c1, c2)
+            v = c1 * c2
             if sign < 0:
-                v = F.neg(v)
+                v = -v
             key = (merged, e)
-            acc = F.add(out.get(key, F.zero), v)
+            acc = F.of(out.get(key, F.zero) + v)
             if acc == F.zero:
                 out.pop(key, None)
             else:
@@ -310,7 +339,7 @@ def _reference_combination(a, b, c):
     F = a.field
     c = F.of(c)
     return CochainVector(a.n, a.m, F, {
-        k: F.add(a.terms.get(k, F.zero), F.mul(c, b.terms.get(k, F.zero)))
+        k: F.of(a.terms.get(k, F.zero) + c * b.terms.get(k, F.zero))
         for k in a.terms.keys() | b.terms.keys()})
 
 

@@ -1,10 +1,12 @@
 """Cup product structure on Hochschild cohomology.
 
 Cocycles on the small resolution are stored by their values on the
-resolution generators: a degree-m cochain is a sparse combination of
-pairs (monomial, exponent vector of degree m).  The cup product of two
-such cochains multiplies the monomial parts in the exterior algebra and
-adds the exponent vectors (a convolution over all splittings).
+resolution generators: a degree-m cochain is a plain dict
+{(monomial indices, exponent vector of degree m): nonzero scalar}, and
+the field is passed beside it; n and m are read off its keys.  Only
+``cochain`` validates one.  The cup product of two such cochains
+multiplies the monomial parts in the exterior algebra and adds the
+exponent vectors (a convolution over all splittings).
 
 Away from characteristic 2 the single terms whose monomial degree has
 the parity of the cohomological degree form a basis of the classes; the
@@ -36,94 +38,52 @@ from .formulas import binom, same_parity
 from .resolution import exponent_vectors
 
 
-class CochainVector:
-    """Sparse degree-m cochain: {(monomial indices, exponent vector): scalar}."""
-
-    __slots__ = ("n", "m", "field", "terms")
-
-    def __init__(self, n, m, field, terms):
-        check_n(n)
-        if m < 0:
-            raise ValueError("cochain degree must be >= 0")
-        self.n = n
-        self.m = m
-        self.field = field
-        clean = {}
-        for (idx, e), c in terms.items():
-            if len(e) != n or sum(e) != m:
-                raise ValueError(f"exponent vector {e} has wrong degree for m={m}")
-            if c:
-                clean[(idx, e)] = c
-        self.terms = clean
-
-    def is_zero(self):
-        return not self.terms
-
-    def add(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        of = self.field.of
-        for key, c in other.terms.items():
-            if key in out:
-                c = of(out[key] + c)
-                if not c:
-                    del out[key]
-                    continue
-            out[key] = c
-        return _cochain(self.n, self.m, self.field, out)
-
-    def scale(self, c):
-        F = self.field
-        c = F.of(c)
-        terms = {k: F.of(c * v) for k, v in self.terms.items()} if c else {}
-        return _cochain(self.n, self.m, F, terms)
-
-    def sub(self, other):
-        return self.add(other.scale(-1))
-
-    def _check(self, other):
-        if self.n != other.n or self.m != other.m or self.field != other.field:
-            raise ValueError("incompatible cochains")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CochainVector)
-            and self.n == other.n
-            and self.m == other.m
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        return f"CochainVector(n={self.n}, m={self.m}, {self.terms})"
+def cochain(n, m, field, terms):
+    """The degree-m cochain with the given terms, checked: n is valid, m is
+    nonnegative, and every exponent vector has n entries summing to m.
+    Scalars are normalised by ``field.of`` and zeros dropped.  Every other
+    cochain is built as a plain dict from keys already known to be valid."""
+    check_n(n)
+    if m < 0:
+        raise ValueError("cochain degree must be >= 0")
+    clean = {}
+    for (idx, e), c in terms.items():
+        if len(e) != n or sum(e) != m:
+            raise ValueError(f"exponent vector {e} has wrong degree for m={m}")
+        c = field.of(c)
+        if c:
+            clean[idx, e] = c
+    return clean
 
 
-def _cochain(n, m, field, terms):
-    """A CochainVector built without the constructor's checks, for terms
-    already known to be valid keys of degree m with nonzero scalars."""
-    vec = CochainVector.__new__(CochainVector)
-    vec.n, vec.m, vec.field, vec.terms = n, m, field, terms
-    return vec
-
-
-def zero_cochain(n, m, field):
-    return CochainVector(n, m, field, {})
+def add(a, b, field, c=1):
+    """The cochain a + c*b, storing no zero; neither input is changed."""
+    of, zero = field.of, field.zero
+    out = dict(a)
+    for key, v in b.items():
+        v = of(out.get(key, zero) + c * v)
+        if v:
+            out[key] = v
+        else:
+            out.pop(key, None)
+    return out
 
 
 def unit_class(n, field):
     """The multiplicative unit: the empty monomial in degree 0."""
-    return CochainVector(n, 0, field, {((), (0,) * n): field.one})
+    return cochain(n, 0, field, {((), (0,) * n): field.one})
 
 
-def apply_differential(vec):
+def apply_differential(vec, field):
     """Image of the cochain under the cochain differential, one degree up."""
-    F = vec.field
-    column = cochain_column(vec.n, vec.m, F)
-    return _cochain(vec.n, vec.m + 1, F, apply(column, vec.terms, F))
+    if not vec:
+        return {}
+    _, e = next(iter(vec))
+    return apply(cochain_column(len(e), sum(e), field), vec, field)
 
 
-def is_cocycle(vec):
-    return apply_differential(vec).is_zero()
+def is_cocycle(vec, field):
+    return not apply_differential(vec, field)
 
 
 def _coboundary_gain(n, m, field):
@@ -136,45 +96,39 @@ def _coboundary_gain(n, m, field):
         [column(key) for key in cochain_domain(n, m - 1, v)], vecs, field)
 
 
-def _by_weight(terms):
+def _by_weight(vec):
     """The terms split into {weight: {key: scalar}}."""
     parts = defaultdict(dict)
-    for key, c in terms.items():
+    for key, c in vec.items():
         parts[cochain_weight(key)][key] = c
     return parts
 
 
-def in_coboundary_image(vec):
+def in_coboundary_image(vec, field):
     """Whether vec is a coboundary: no weight part of it raises the rank
     of the coboundaries of that weight."""
-    gain = _coboundary_gain(vec.n, vec.m, vec.field)
-    return not any(gain(v, [part])
-                   for v, part in _by_weight(vec.terms).items())
-
-
-def classes_equal(a, b):
-    """Equality in cohomology: the difference is a cocycle and a coboundary."""
-    diff = a.sub(b)
-    if diff.is_zero():
+    if not vec:
         return True
-    if not is_cocycle(diff):
-        return False
-    return in_coboundary_image(diff)
+    _, e = next(iter(vec))
+    gain = _coboundary_gain(len(e), sum(e), field)
+    return not any(gain(v, [part]) for v, part in _by_weight(vec).items())
 
 
-def is_zero_class(a):
-    return classes_equal(a, zero_cochain(a.n, a.m, a.field))
+def classes_equal(a, b, field):
+    """Equality in cohomology of two cochains of one degree: the difference
+    is a cocycle and a coboundary."""
+    diff = add(a, b, field, -1)
+    return not diff or (is_cocycle(diff, field)
+                        and in_coboundary_image(diff, field))
 
 
-def cup(a, b):
-    """Cup product: multiply monomial parts, add exponent vectors."""
-    if a.n != b.n or a.field != b.field:
-        raise ValueError("incompatible cochains")
-    F = a.field
-    of, plus = F.of, operator.add
+def cup(a, b, field):
+    """Cup product of two cochains on the same n: multiply monomial parts,
+    add exponent vectors."""
+    of, plus = field.of, operator.add
     out = {}
-    for (l1, e1), c1 in a.terms.items():
-        for (l2, e2), c2 in b.terms.items():
+    for (l1, e1), c1 in a.items():
+        for (l2, e2), c2 in b.items():
             res = merge_signed(l1, l2)
             if res is None:
                 continue
@@ -186,7 +140,7 @@ def cup(a, b):
                     del out[key]
                     continue
             out[key] = v
-    return _cochain(a.n, a.m + b.m, F, out)
+    return out
 
 
 def cohomology_basis(n, m, field):
@@ -201,14 +155,14 @@ def cohomology_basis(n, m, field):
                          "cochain is a cocycle there")
     if m == 0:
         zero_e = (0,) * n
-        return [CochainVector(n, 0, field, {(idx, zero_e): field.one})
+        return [cochain(n, 0, field, {(idx, zero_e): field.one})
                 for idx in center_basis(n, field)]
     out = []
     for idx in monomials(n):
         if not same_parity(len(idx), m):
             continue
         for e in exponent_vectors(n, m):
-            out.append(CochainVector(n, m, field, {(idx, e): field.one}))
+            out.append(cochain(n, m, field, {(idx, e): field.one}))
     return out
 
 
@@ -224,8 +178,8 @@ def verify_cohomology_basis(n, m, field):
     column = cochain_column(n, m, field)
     groups = defaultdict(list)
     for vec in basis:
-        weights = _by_weight(vec.terms)
-        if len(weights) != 1 or apply(column, vec.terms, field):
+        weights = _by_weight(vec)
+        if len(weights) != 1 or apply(column, vec, field):
             return False
         (v, terms), = weights.items()
         groups[v].append(terms)
@@ -248,21 +202,21 @@ def deg0_generator(n, field, i, j):
     """Degree-0 class of the quadratic central monomial x_i x_j, i < j."""
     if not 1 <= i < j <= n:
         raise ValueError("need 1 <= i < j <= n")
-    return CochainVector(n, 0, field, {((i, j), (0,) * n): field.one})
+    return cochain(n, 0, field, {((i, j), (0,) * n): field.one})
 
 
 def deg1_generator(n, field, p, q):
     """Degree-1 class: generator p against the first power of exponent q."""
     if not (1 <= p <= n and 1 <= q <= n):
         raise ValueError("indices out of range")
-    return CochainVector(n, 1, field, {((p,), _delta_e(n, q)): field.one})
+    return cochain(n, 1, field, {((p,), _delta_e(n, q)): field.one})
 
 
 def deg2_generator(n, field, s, t):
     """Degree-2 class with exponent vector supported on s and t, s <= t."""
     if not 1 <= s <= t <= n:
         raise ValueError("need 1 <= s <= t <= n")
-    return CochainVector(n, 2, field, {((), _delta_e(n, s, t)): field.one})
+    return cochain(n, 2, field, {((), _delta_e(n, s, t)): field.one})
 
 
 def relation_instances(n, field):
@@ -277,79 +231,83 @@ def relation_instances(n, field):
     """
     check_n(n)
     rng = range(1, n + 1)
-    U = lambda i, j: deg0_generator(n, field, i, j)
-    V = lambda p, q: deg1_generator(n, field, p, q)
-    W = lambda s, t: deg2_generator(n, field, s, t)
+    # each generator is built once: the products below never change them
+    U = {k: deg0_generator(n, field, *k) for k in combinations(rng, 2)}
+    V = {k: deg1_generator(n, field, *k) for k in product(rng, repeat=2)}
+    W = {k: deg2_generator(n, field, *k)
+         for k in combinations_with_replacement(rng, 2)}
+    mul = lambda x, y: cup(x, y, field)
+    neg = lambda x: add({}, x, field, -1)
 
     for i, j in combinations(rng, 2):
         for s, t in combinations(rng, 2):
-            yield "deg00.1", (i, j, s, t), cup(U(i, j), U(s, t)), cup(U(s, t), U(i, j))
+            yield "deg00.1", (i, j, s, t), mul(U[i, j], U[s, t]), mul(U[s, t], U[i, j])
             if {i, j} & {s, t}:
-                yield "deg00.2", (i, j, s, t), cup(U(i, j), U(s, t)), None
+                yield "deg00.2", (i, j, s, t), mul(U[i, j], U[s, t]), None
     for a, b, c, d in combinations(rng, 4):
         # patterns of two interleaved index pairs, in each relative order
         i, s, j, t = a, b, c, d
-        yield "deg00.3", (i, j, s, t), cup(U(i, j), U(s, t)), cup(U(i, s), U(j, t)).scale(-1)
+        yield "deg00.3", (i, j, s, t), mul(U[i, j], U[s, t]), neg(mul(U[i, s], U[j, t]))
         i, s, t, j = a, b, c, d
-        yield "deg00.4", (i, j, s, t), cup(U(i, j), U(s, t)), cup(U(i, s), U(t, j))
+        yield "deg00.4", (i, j, s, t), mul(U[i, j], U[s, t]), mul(U[i, s], U[t, j])
         s, i, t, j = a, b, c, d
-        yield "deg00.5", (i, j, s, t), cup(U(i, j), U(s, t)), cup(U(s, i), U(t, j)).scale(-1)
+        yield "deg00.5", (i, j, s, t), mul(U[i, j], U[s, t]), neg(mul(U[s, i], U[t, j]))
         s, i, j, t = a, b, c, d
-        yield "deg00.6", (i, j, s, t), cup(U(i, j), U(s, t)), cup(U(s, i), U(j, t))
+        yield "deg00.6", (i, j, s, t), mul(U[i, j], U[s, t]), mul(U[s, i], U[j, t])
 
     for i, j in combinations(rng, 2):
         for s in rng:
             for t in rng:
-                yield "deg01.1", (i, j, s, t), cup(U(i, j), V(s, t)), cup(V(s, t), U(i, j))
+                yield "deg01.1", (i, j, s, t), mul(U[i, j], V[s, t]), mul(V[s, t], U[i, j])
                 if s in (i, j):
-                    yield "deg01.2", (i, j, s, t), cup(U(i, j), V(s, t)), None
+                    yield "deg01.2", (i, j, s, t), mul(U[i, j], V[s, t]), None
     for a, b, c in combinations(rng, 3):
         for t in rng:
             s, i, j = a, b, c
-            yield "deg01.3", (i, j, s, t), cup(U(i, j), V(s, t)), cup(U(s, i), V(j, t))
+            yield "deg01.3", (i, j, s, t), mul(U[i, j], V[s, t]), mul(U[s, i], V[j, t])
             i, s, j = a, b, c
-            yield "deg01.4", (i, j, s, t), cup(U(i, j), V(s, t)), cup(U(i, s), V(j, t)).scale(-1)
+            yield "deg01.4", (i, j, s, t), mul(U[i, j], V[s, t]), neg(mul(U[i, s], V[j, t]))
 
     for i, j in combinations(rng, 2):
         for s, t in combinations_with_replacement(rng, 2):
-            yield "deg02.1", (i, j, s, t), cup(U(i, j), W(s, t)), cup(W(s, t), U(i, j))
+            yield "deg02.1", (i, j, s, t), mul(U[i, j], W[s, t]), mul(W[s, t], U[i, j])
 
     for i in rng:
         for j in rng:
             for t in rng:
-                yield "deg11.1", (i, j, i, t), cup(V(i, j), V(i, t)), None
+                yield "deg11.1", (i, j, i, t), mul(V[i, j], V[i, t]), None
     for i, s in combinations(rng, 2):
         for j in rng:
             for t in rng:
                 if j <= t:
-                    yield "deg11.2", (i, j, s, t), cup(V(i, j), V(s, t)), cup(U(i, s), W(j, t))
+                    yield "deg11.2", (i, j, s, t), mul(V[i, j], V[s, t]), mul(U[i, s], W[j, t])
                 if t <= j:
-                    yield "deg11.3", (i, j, s, t), cup(V(i, j), V(s, t)), cup(U(i, s), W(t, j))
+                    yield "deg11.3", (i, j, s, t), mul(V[i, j], V[s, t]), mul(U[i, s], W[t, j])
                 if j <= t:
-                    yield "deg11.4", (s, j, i, t), cup(V(s, j), V(i, t)), cup(U(i, s), W(j, t)).scale(-1)
+                    yield "deg11.4", (s, j, i, t), mul(V[s, j], V[i, t]), neg(mul(U[i, s], W[j, t]))
                 if t <= j:
-                    yield "deg11.5", (s, j, i, t), cup(V(s, j), V(i, t)), cup(U(i, s), W(t, j)).scale(-1)
+                    yield "deg11.5", (s, j, i, t), mul(V[s, j], V[i, t]), neg(mul(U[i, s], W[t, j]))
 
     for i in rng:
         for j in rng:
             for s, t in combinations_with_replacement(rng, 2):
-                yield "deg12.1", (i, j, s, t), cup(V(i, j), W(s, t)), cup(W(s, t), V(i, j))
+                yield "deg12.1", (i, j, s, t), mul(V[i, j], W[s, t]), mul(W[s, t], V[i, j])
                 if s < j <= t:
-                    yield "deg12.2", (i, j, s, t), cup(V(i, j), W(s, t)), cup(V(i, s), W(j, t))
+                    yield "deg12.2", (i, j, s, t), mul(V[i, j], W[s, t]), mul(V[i, s], W[j, t])
                 if s < t <= j:
-                    yield "deg12.3", (i, j, s, t), cup(V(i, j), W(s, t)), cup(V(i, s), W(t, j))
+                    yield "deg12.3", (i, j, s, t), mul(V[i, j], W[s, t]), mul(V[i, s], W[t, j])
 
     for i, j in combinations_with_replacement(rng, 2):
         for s, t in combinations_with_replacement(rng, 2):
-            yield "deg22.1", (i, j, s, t), cup(W(i, j), W(s, t)), cup(W(s, t), W(i, j))
+            yield "deg22.1", (i, j, s, t), mul(W[i, j], W[s, t]), mul(W[s, t], W[i, j])
             if i <= s <= j <= t:
-                yield "deg22.2", (i, j, s, t), cup(W(i, j), W(s, t)), cup(W(i, s), W(j, t))
+                yield "deg22.2", (i, j, s, t), mul(W[i, j], W[s, t]), mul(W[i, s], W[j, t])
             if i <= s <= t <= j:
-                yield "deg22.3", (i, j, s, t), cup(W(i, j), W(s, t)), cup(W(i, s), W(t, j))
+                yield "deg22.3", (i, j, s, t), mul(W[i, j], W[s, t]), mul(W[i, s], W[t, j])
             if s <= i <= t <= j:
-                yield "deg22.4", (i, j, s, t), cup(W(i, j), W(s, t)), cup(W(s, i), W(t, j))
+                yield "deg22.4", (i, j, s, t), mul(W[i, j], W[s, t]), mul(W[s, i], W[t, j])
             if s <= i <= j <= t:
-                yield "deg22.5", (i, j, s, t), cup(W(i, j), W(s, t)), cup(W(s, i), W(j, t))
+                yield "deg22.5", (i, j, s, t), mul(W[i, j], W[s, t]), mul(W[s, i], W[j, t])
 
 
 RELATION_FAMILIES = (
@@ -373,7 +331,7 @@ def verify_ring_relations(n, field):
     for fid, inst, lhs, rhs in relation_instances(n, field):
         rec = stats[fid]
         rec["instances"] += 1
-        ok = is_zero_class(lhs) if rhs is None else classes_equal(lhs, rhs)
+        ok = classes_equal(lhs, {} if rhs is None else rhs, field)
         if not ok:
             rec["failures"].append(inst)
     return [stats[fid] for fid in RELATION_FAMILIES]
@@ -396,7 +354,7 @@ def _test_cocycle(n, m, field):
     with coefficient 1 + k % 2, nonzero in every odd characteristic."""
     es = exponent_vectors(n, m)
     pure = [idx for idx in monomials(n) if same_parity(len(idx), m)]
-    return CochainVector(n, m, field, {
+    return cochain(n, m, field, {
         (idx, es[k % len(es)]): field.of(1 + k % 2) for k, idx in enumerate(pure)
     })
 
@@ -425,8 +383,8 @@ def verify_graded_commutativity(n, field, total_deg_max):
     cocycles = [_test_cocycle(n, m, field) for m in range(total_deg_max + 1)]
     for s in range(total_deg_max + 1):
         for t in range(total_deg_max + 1 - s):
-            a, b = cocycles[s], cocycles[t]
-            if cup(a, b) != cup(b, a).scale((-1) ** (s * t)):
+            a, b, sign = cocycles[s], cocycles[t], (-1) ** (s * t)
+            if cup(a, b, field) != add({}, cup(b, a, field), field, sign):
                 return False
     return True
 
@@ -451,7 +409,8 @@ def verify_associativity(n, field, total_deg_max):
         for t in range(total_deg_max + 1 - s):
             for u in range(total_deg_max + 1 - s - t):
                 a, b, c = cocycles[s], cocycles[t], cocycles[u]
-                if cup(cup(a, b), c) != cup(a, cup(b, c)):
+                if (cup(cup(a, b, field), c, field)
+                        != cup(a, cup(b, c, field), field)):
                     return False
     return True
 
@@ -461,8 +420,8 @@ def verify_unital(n, field, total_deg_max):
     one = unit_class(n, field)
     for m in range(total_deg_max + 1):
         for key in _basis_terms(n, m, field.char != 2):
-            v = _cochain(n, m, field, {key: field.one})
-            if cup(one, v) != v or cup(v, one) != v:
+            v = {key: field.one}
+            if cup(one, v, field) != v or cup(v, one, field) != v:
                 return False
     return True
 
@@ -520,7 +479,7 @@ def evaluate_word(n, field, word):
     acc = unit_class(n, field)
     makers = {0: deg0_generator, 1: deg1_generator, 2: deg2_generator}
     for d, (a, b) in word:
-        acc = cup(acc, makers[d](n, field, a, b))
+        acc = cup(acc, makers[d](n, field, a, b), field)
     return acc
 
 
@@ -542,10 +501,10 @@ def presentation_audit(n, deg_max, field):
         clean = True
         for w in words:
             val = evaluate_word(n, field, w)
-            if len(val.terms) != 1:
+            if len(val) != 1:
                 clean = False
                 break
-            (key, c), = val.terms.items()
+            (key, c), = val.items()
             if not c or key in keys:
                 clean = False
                 break
@@ -599,21 +558,21 @@ def char2_ring_check(n, deg_max, field):
             right = _basis_terms(n, t, False)
             for l1, e1 in _basis_terms(n, s, False):
                 set1 = set(l1)
-                a = _cochain(n, s, field, {(l1, e1): field.one})
+                a = {(l1, e1): field.one}
                 for l2, e2 in right:
-                    b = _cochain(n, t, field, {(l2, e2): field.one})
-                    got = cup(a, b)
+                    b = {(l2, e2): field.one}
+                    got = cup(a, b, field)
                     if set1 & set(l2):
-                        if not got.is_zero():
+                        if got:
                             product_ok = False
                     else:
                         key = (
                             tuple(sorted(l1 + l2)),
                             tuple(x + y for x, y in zip(e1, e2)),
                         )
-                        if got.terms != {key: field.one}:
+                        if got != {key: field.one}:
                             product_ok = False
-                    if got.terms != cup(b, a).terms:
+                    if got != cup(b, a, field):
                         commutative = False
             if not (product_ok and commutative):
                 break

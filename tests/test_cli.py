@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from hhext import cli
 from hhext.exactla import PRIME_BOUND
 
@@ -226,3 +228,64 @@ def test_ring_over_prime_fields_matches_golden(tmp_path):
             ("ring-n3-d5-char5.json",
              ["ring", "--n", "3", "--deg-max", "5", "--char", "5"])):
         assert _matches_tier1_golden(tmp_path, name, argv), name
+
+
+def _plus_one_at_m1(f):
+    return lambda n, m, *rest: f(n, m, *rest) + (m == 1)
+
+
+def _hilbert_plus_one_at_degree1(f):
+    def planted(n, char, N):
+        coeffs = f(n, char, N)
+        coeffs[1] += 1
+        return coeffs
+    return planted
+
+
+def _negated_at_m1_j0(f):
+    return lambda n, m, j: f(n, m, j) != (m == 1 and j == 0)
+
+
+@pytest.mark.parametrize("name, plant, failing", [
+    ("hh_dim_formula", _plus_one_at_m1, {
+        "dims": {"dims.hh"},
+        "verify": {"identities.dimension-split.chain", "oracle.hh"},
+        "cyclic": {"cyclic.value", "cyclic.recurrence"}}),
+    ("hhc_dim_formula", _plus_one_at_m1, {
+        "dims": {"dims.hhc"},
+        "verify": {"identities.dimension-split.cochain", "oracle.hhc",
+                   "ring.basis-count"}}),
+    ("hc_dim_formula", _plus_one_at_m1, {
+        "dims": {"dims.cyclic"},
+        "cyclic": {"cyclic.value", "cyclic.recurrence"}}),
+    ("chain_rank_double_sum", _plus_one_at_m1, {
+        "verify": {"ranks.chain", "identities.rank-forms.chain"}}),
+    ("cochain_rank_double_sum", _plus_one_at_m1, {
+        "verify": {"ranks.cochain", "identities.rank-forms.cochain"}}),
+    ("chain_rank_closed_form", _plus_one_at_m1, {
+        "verify": {"identities.rank-forms.chain",
+                   "identities.dimension-split.chain"}}),
+    ("cochain_rank_closed_form", _plus_one_at_m1, {
+        "verify": {"identities.rank-forms.cochain",
+                   "identities.dimension-split.cochain"}}),
+    ("hilbert_coeffs", _hilbert_plus_one_at_degree1, {
+        "dims": {"dims.hilbert"}}),
+    ("binomial_sum_identity", _negated_at_m1_j0, {
+        "verify": {"identities.binomial-sum"}}),
+])
+def test_planted_formula_defect_fails_its_records(tmp_path, monkeypatch,
+                                                  name, plant, failing):
+    """An off-by-one planted at m = 1 in one closed formula (the degree-1
+    Hilbert coefficient; the binomial identity negated at m = 1, j = 0)
+    fails exactly the records that compare it, at n = 2, --m-max 3, and
+    each command with such a record exits 1."""
+    monkeypatch.setattr(cli, name, plant(getattr(cli, name)))
+    out = tmp_path / "report.json"
+    for argv in (["dims"], ["verify", "--suite", "all"], ["cyclic"]):
+        code = cli.main([*argv, "--n", "2", "--m-max", "3", "--format",
+                         "json", "--no-timestamp", "--out", str(out)])
+        records = json.loads(out.read_text())["records"]
+        failed = {rec["id"] for rec in records if rec["status"] == "fail"}
+        want = failing.get(argv[0], set())
+        assert failed == want, argv
+        assert code == (1 if want else 0), argv

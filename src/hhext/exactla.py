@@ -8,12 +8,12 @@ inverts a nonzero scalar, so the elimination code is field-agnostic.  No
 floating point anywhere.
 
 ``rank`` is the one elimination routine; a span question is asked as a
-rank difference (``rank_gain``).
+rank difference (``rank_gain``).  It eliminates columns in order of fill,
+a column left with one live row first, each on its shortest live row.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 
 
@@ -189,58 +189,54 @@ def apply(column, vec, field):
 def rank(M):
     """Rank of a sparse matrix by Gaussian elimination.
 
-    Pivots are chosen as (min column fill, then min row fill, then lowest
-    index), which keeps fill low on the very sparse differential matrices
-    this package produces and is fully deterministic.
+    Columns are eliminated once each, in order of their fill in M, ties
+    broken by first appearance; a column whose live fill falls to one,
+    by the pivot row leaving it or by a cancellation, goes onto a stack
+    and is eliminated next.  A pivot is the column's shortest live row,
+    then its lowest index.  A column with no live rows is skipped.
     """
     F = M.field
     of, zero = F.of, F.zero
-    rows = {}
+    rows = [dict(rd) for rd in M.entries]
     col_rows = {}
-    for i, rd in enumerate(M.entries):
-        rows[i] = dict(rd)
+    for i, rd in enumerate(rows):
         for c in rd:
             col_rows.setdefault(c, set()).add(i)
 
-    heap = [(len(rs), c) for c, rs in col_rows.items()]
-    heapq.heapify(heap)
+    stack = []
     r = 0
-    while heap:
-        nnz, c = heapq.heappop(heap)
-        live = col_rows.get(c)
-        if not live or len(live) != nnz:
-            if live:
-                heapq.heappush(heap, (len(live), c))
-            continue
-        pr = min(live, key=lambda i: (len(rows[i]), i))
-        prow = rows.pop(pr)
-        piv = prow.pop(c)
-        for cc in prow:
-            col_rows[cc].discard(pr)
-        col_rows.pop(c)
-        pinv = F.inv(piv)
-        r += 1
-        for i in list(live):
-            if i == pr:
+    for first in sorted(col_rows, key=lambda c: len(col_rows[c])):
+        stack.append(first)
+        while stack:
+            c = stack.pop()
+            live = col_rows.pop(c, None)
+            if not live:
                 continue
-            ri = rows[i]
-            factor = of(ri.pop(c) * pinv)
-            for cc, v in prow.items():
-                s = of(ri.get(cc, zero) - factor * v)
-                if not s:
-                    if cc in ri:
+            pr = min(live, key=lambda i: (len(rows[i]), i))
+            live.discard(pr)
+            prow = rows[pr]
+            pinv = F.inv(prow.pop(c))
+            for cc in prow:
+                live_cc = col_rows[cc]
+                live_cc.discard(pr)
+                if len(live_cc) == 1:
+                    stack.append(cc)
+            r += 1
+            for i in live:
+                ri = rows[i]
+                factor = of(ri.pop(c) * pinv)
+                for cc, v in prow.items():
+                    s = of(ri.get(cc, zero) - factor * v)
+                    if s:
+                        if cc not in ri:
+                            col_rows[cc].add(i)
+                        ri[cc] = s
+                    else:  # factor * v is nonzero: only an entry cancels
                         del ri[cc]
                         live_cc = col_rows[cc]
                         live_cc.discard(i)
-                        heapq.heappush(heap, (len(live_cc), cc))
-                else:
-                    if cc not in ri:
-                        live_cc = col_rows.setdefault(cc, set())
-                        live_cc.add(i)
-                        heapq.heappush(heap, (len(live_cc), cc))
-                    ri[cc] = s
-            if not ri:
-                del rows[i]
+                        if len(live_cc) == 1:
+                            stack.append(cc)
     return r
 
 

@@ -219,6 +219,16 @@ def deg2_generator(n, field, s, t):
     return cochain(n, 2, field, {((), _delta_e(n, s, t)): field.one})
 
 
+def generators(n, field):
+    """Every generator once, in three dicts by degree, keyed by (i, j)
+    with i < j, by (p, q) and by (s, t) with s <= t; cup never changes them."""
+    rng = range(1, n + 1)
+    return ({k: deg0_generator(n, field, *k) for k in combinations(rng, 2)},
+            {k: deg1_generator(n, field, *k) for k in product(rng, repeat=2)},
+            {k: deg2_generator(n, field, *k)
+             for k in combinations_with_replacement(rng, 2)})
+
+
 def relation_instances(n, field):
     """Yield (family id, instance indices, lhs, rhs) for every instance of
     the generator relations in range.  rhs None means the product must be
@@ -231,11 +241,7 @@ def relation_instances(n, field):
     """
     check_n(n)
     rng = range(1, n + 1)
-    # each generator is built once: the products below never change them
-    U = {k: deg0_generator(n, field, *k) for k in combinations(rng, 2)}
-    V = {k: deg1_generator(n, field, *k) for k in product(rng, repeat=2)}
-    W = {k: deg2_generator(n, field, *k)
-         for k in combinations_with_replacement(rng, 2)}
+    U, V, W = generators(n, field)
     mul = lambda x, y: cup(x, y, field)
     neg = lambda x: add({}, x, field, -1)
 
@@ -474,12 +480,12 @@ def presentation_count(n, degree, min_index=1):
     return chains * binom(n + degree - 1, degree)
 
 
-def evaluate_word(n, field, word):
-    """Cup product of the word's letters, left to right."""
-    acc = unit_class(n, field)
-    makers = {0: deg0_generator, 1: deg1_generator, 2: deg2_generator}
-    for d, (a, b) in word:
-        acc = cup(acc, makers[d](n, field, a, b), field)
+def evaluate_word(word, unit, gens, field):
+    """Cup product of the word's letters, left to right, from ``unit``;
+    ``gens`` are the three dicts of ``generators``."""
+    acc = unit
+    for d, k in word:
+        acc = cup(acc, gens[d][k], field)
     return acc
 
 
@@ -493,6 +499,7 @@ def presentation_audit(n, deg_max, field):
     forms form a basis in that degree.
     """
     records = []
+    unit, gens = unit_class(n, field), generators(n, field)
     for d in range(deg_max + 1):
         words = presentation_normal_forms(n, d, min_index=1)
         count = len(words)
@@ -500,15 +507,10 @@ def presentation_audit(n, deg_max, field):
         keys = set()
         clean = True
         for w in words:
-            val = evaluate_word(n, field, w)
-            if len(val) != 1:
-                clean = False
-                break
-            (key, c), = val.items()
-            if not c or key in keys:
-                clean = False
-                break
-            if not same_parity(len(key[0]), d):
+            val = evaluate_word(w, unit, gens, field)
+            key, c = next(iter(val.items()), ((), 0))
+            if (len(val) != 1 or not c or key in keys
+                    or not same_parity(len(key[0]), d)):
                 clean = False
                 break
             keys.add(key)

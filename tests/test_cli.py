@@ -230,6 +230,17 @@ def test_ring_over_prime_fields_matches_golden(tmp_path):
         assert _matches_tier1_golden(tmp_path, name, argv), name
 
 
+def test_bar_oracle_over_q_and_gf2_matches_golden(tmp_path):
+    """The bar oracle over Q and over GF(2), fields whose bar blocks the
+    benchmark's GF(3) verify workload never ranks, writes its JSON report
+    byte for byte as kept in tests/golden."""
+    for char in ("0", "2"):
+        assert _matches_tier1_golden(
+            tmp_path, f"verify-oracle-n2-m6-char{char}.json",
+            ["verify", "--n", "2", "--m-max", "6", "--suite", "oracle",
+             "--char", char]), char
+
+
 def _plus_one_at_m1(f):
     return lambda n, m, *rest: f(n, m, *rest) + (m == 1)
 

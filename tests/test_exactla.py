@@ -7,6 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hhext.complexes import (
+    bar_chain_blocks,
+    bar_cochain_blocks,
+    chain_blocks,
+    cochain_blocks,
+)
 from hhext.exactla import (
     GF,
     PRIME_BOUND,
@@ -264,3 +270,64 @@ def test_rank_gain_is_a_rank_difference(A, probe):
         assert (rank_gain(rows, [extra], field) == 0) != grows
         assert ([dict(vec) for vec in rows], dict(extra)) == before
         assert len(rows) == len(A)
+
+
+# The elimination order on real and hand-built matrices.
+
+def as_dense(M):
+    """The integer (or Fraction) rows of a SparseMatrix, for reference_rank."""
+    return [[row.get(c, 0) for c in range(M.cols)] for row in M.entries]
+
+
+def assert_rank_matches_reference(M):
+    p = M.field.char
+    want = reference_rank(as_dense(M), p) if M.rows else 0
+    assert rank(M) == want, (M, p)
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(3)), ids=repr)
+def test_rank_matches_reference_on_differential_blocks(field):
+    """rank equals the dense reference on every weight block of the bar
+    complex at n = 2 and of the resolution complexes at n = 4, m <= 3:
+    the matrices every layer ranks, with their cancellations and ties."""
+    count = 0
+    for n, chain, cochain in ((2, bar_chain_blocks, bar_cochain_blocks),
+                              (4, chain_blocks, cochain_blocks)):
+        # a chain differential leaves degree m >= 1, a cochain one m >= 0
+        for blocks, m_min in ((chain, 1), (cochain, 0)):
+            for m in range(m_min, 4):
+                for _, M in blocks(n, m, field):
+                    assert_rank_matches_reference(M)
+                    count += 1
+    # over GF(2) the resolution differentials vanish: only bar blocks
+    assert count == {0: 415, 2: 84, 3: 415}[field.char]
+
+
+def test_rank_singleton_reached_by_cancellation():
+    """Over Q, column 0 goes first and pivots on row 0.  Row 0 leaving
+    takes column 1 from three live rows to two, and the cancellation in
+    row 1 takes it to one, so column 1 goes onto the stack; its pivot,
+    row 2, then leaves column 2 with one live row."""
+    entries = {(0, 0): 1, (0, 1): 1,
+               (1, 0): 1, (1, 1): 1, (1, 2): 1,
+               (2, 1): 1, (2, 2): 2}
+    for field in (QQ, GF(2), GF(3)):
+        M = from_entries(3, 3, field, entries)
+        assert_rank_matches_reference(M)
+    assert rank(from_entries(3, 3, QQ, entries)) == 3
+
+
+def test_rank_column_emptied_before_its_turn():
+    """Columns 0 and 1 each have one entry, both in row 0; row 0 pivots
+    column 0 and leaves column 1 with no live row, so column 1 is
+    skipped when its turn in the order comes.  In the second matrix row
+    0 leaving puts column 1 on the stack with one live row, and the
+    cancellation in row 1 empties it before it is popped; likewise
+    column 3 after row 2."""
+    assert rank(from_entries(1, 2, QQ, {(0, 0): 1, (0, 1): 1})) == 1
+    entries = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1,
+               (2, 2): 1, (2, 3): 1, (3, 2): 1, (3, 3): 1}
+    for field in (QQ, GF(2), GF(3)):
+        M = from_entries(4, 4, field, entries)
+        assert_rank_matches_reference(M)
+        assert rank(M) == 2

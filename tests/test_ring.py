@@ -20,6 +20,7 @@ from hhext.ring import (
     deg1_generator,
     deg2_generator,
     evaluate_word,
+    generators,
     in_coboundary_image,
     is_cocycle,
     presentation_audit,
@@ -455,8 +456,20 @@ def test_presentation_audit_flags_odd_n_degree_zero():
 
 def test_evaluate_word():
     word = ((0, (1, 2)), (2, (1, 1)))
-    val = evaluate_word(2, QQ, word)
+    val = evaluate_word(word, unit_class(2, QQ), generators(2, QQ), QQ)
     assert val == {((1, 2), (2, 0)): QQ.one}
+    assert evaluate_word((), unit_class(2, QQ), generators(2, QQ), QQ) == \
+        unit_class(2, QQ)
+
+
+def test_generators_are_the_letters():
+    """generators builds each generator of every letter once, as the
+    deg*_generator functions do one by one."""
+    U, V, W = generators(3, GF(5))
+    assert (len(U), len(V), len(W)) == (3, 9, 6)
+    assert U[1, 3] == deg0_generator(3, GF(5), 1, 3)
+    assert V[3, 1] == deg1_generator(3, GF(5), 3, 1)
+    assert W[2, 2] == deg2_generator(3, GF(5), 2, 2)
 
 
 def test_char2_ring_structure():

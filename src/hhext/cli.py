@@ -217,6 +217,17 @@ def _oracle_records(ns, m_max, char, cap):
     return out
 
 
+def _basis_records(n, m, field):
+    """The two records of the degree-m basis, built once; it is dropped on
+    return, before the next degree is built."""
+    p = {"n": n, "m": m, "char": field.char}
+    basis = cohomology_basis(n, m, field)
+    return [_rec("ring.basis-count", p, hhc_dim_formula(n, m, field.char),
+                 len(basis)),
+            _rec("ring.basis-independent", p, True,
+                 verify_cohomology_basis(n, m, field, basis))]
+
+
 def _ring_records(ns, deg_max, char):
     field = field_of_char(char)
     out = []
@@ -230,11 +241,7 @@ def _ring_records(ns, deg_max, char):
                                 True, rep[key]))
             continue
         for m in range(deg_max + 1):
-            p = {"n": n, "m": m, "char": char}
-            out.append(_rec("ring.basis-count", p, hhc_dim_formula(n, m, char),
-                            len(cohomology_basis(n, m, field))))
-            out.append(_rec("ring.basis-independent", p, True,
-                            verify_cohomology_basis(n, m, field)))
+            out += _basis_records(n, m, field)
         for rec in verify_ring_relations(n, field):
             p = {"n": n, "family": rec["family"], "char": char}
             out.append(_rec("ring.relation-family", p,

@@ -1,11 +1,12 @@
 """Exact sparse linear algebra over Q and prime fields F_p.
 
-Scalars are plain Python values: ``fractions.Fraction`` over Q, ints in
-[0, p) over F_p; in both a scalar is zero exactly when it is falsy.
-Scalars combine with ``+ - *``; ``field.of`` normalises the result (the
-identity on a Fraction, reduction mod p on an int) and ``field.inv``
-inverts a nonzero scalar, so the elimination code is field-agnostic.  No
-floating point anywhere.
+Scalars are plain Python values.  Over Q a scalar is an int when it is
+integral and a reduced ``fractions.Fraction`` otherwise; over F_p it is
+an int in [0, p).  In both a scalar is zero exactly when it is falsy.
+Scalars combine with ``+ - *``; ``field.of`` normalises the result (an
+integral Fraction to its numerator over Q, reduction mod p over F_p) and
+``field.inv`` inverts a nonzero scalar, so the elimination code is
+field-agnostic.  No floating point anywhere.
 
 ``rank`` is the one elimination routine; a span question is asked as a
 rank difference (``rank_gain``).  It eliminates columns in order of fill,
@@ -51,20 +52,24 @@ def _is_prime(p):
 
 
 class RationalField:
-    """The field Q. Scalars are Fractions, stored reduced with positive denominator."""
+    """The field Q.  A scalar is an int when it is integral, and otherwise
+    a Fraction, reduced with positive denominator; never a float.  Ints
+    and Fractions compare and hash alike, so the form never shows."""
 
     char = 0
 
     def of(self, x):
-        if type(x) is Fraction:
+        if type(x) is int:
             return x
-        return Fraction(x)
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def inv(self, a):
-        return self.one / a
+        return self.of(Fraction(1, a))
 
     def __repr__(self):
         return "QQ"

@@ -166,13 +166,12 @@ def cohomology_basis(n, m, field):
     return out
 
 
-def verify_cohomology_basis(n, m, field):
-    """The claimed basis has the right size, consists of cocycles that
-    each lie in one weight, and is independent modulo coboundaries.
-    Cohomology splits by weight, so independence is checked per weight:
-    the vectors of one weight must raise the rank of that weight's
-    coboundaries by their number."""
-    basis = cohomology_basis(n, m, field)
+def verify_cohomology_basis(n, m, field, basis):
+    """The claimed degree-m basis (the list ``cohomology_basis`` gives)
+    has the right size, consists of cocycles that each lie in one weight,
+    and is independent modulo coboundaries.  Cohomology splits by weight,
+    so independence is checked per weight: the vectors of one weight must
+    raise the rank of that weight's coboundaries by their number."""
     if len(basis) != hhc_dim_computed(n, m, field):
         return False
     column = cochain_column(n, m, field)
@@ -540,7 +539,10 @@ def char2_ring_check(n, deg_max, field):
     and there are no coboundaries), that the degree-m dimension is the
     full term dimension, and that the product is the sign-free
     polynomial-style product: monomial union when disjoint else zero,
-    exponents added; in particular the ring is commutative.
+    exponents added; in particular the ring is commutative.  Each single
+    term is multiplied, in both orders, by the sum of every term of one
+    monomial in one degree; the keys of that product are distinct, so
+    each single-term product is still compared as a term of its own.
     """
     if field.char != 2:
         raise ValueError("this check is only meaningful in characteristic 2")
@@ -555,25 +557,24 @@ def char2_ring_check(n, deg_max, field):
     )
     product_ok = True
     commutative = True
+    one = field.one
     for s in range(deg_max + 1):
         for t in range(deg_max + 1 - s):
-            right = _basis_terms(n, t, False)
+            es = exponent_vectors(n, t)
+            right = [(l2, dict.fromkeys([(l2, e2) for e2 in es], one))
+                     for l2 in monomials(n)]
             for l1, e1 in _basis_terms(n, s, False):
                 set1 = set(l1)
-                a = {(l1, e1): field.one}
-                for l2, e2 in right:
-                    b = {(l2, e2): field.one}
+                a = {(l1, e1): one}
+                sums = [tuple(map(operator.add, e1, e2)) for e2 in es]
+                for l2, b in right:
                     got = cup(a, b, field)
-                    if set1 & set(l2):
-                        if got:
-                            product_ok = False
-                    else:
-                        key = (
-                            tuple(sorted(l1 + l2)),
-                            tuple(x + y for x, y in zip(e1, e2)),
-                        )
-                        if got != {key: field.one}:
-                            product_ok = False
+                    want = {}
+                    if set1.isdisjoint(l2):
+                        merged = tuple(sorted(l1 + l2))
+                        want = dict.fromkeys([(merged, e) for e in sums], one)
+                    if got != want:
+                        product_ok = False
                     if got != cup(b, a, field):
                         commutative = False
             if not (product_ok and commutative):

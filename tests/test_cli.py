@@ -230,6 +230,17 @@ def test_ring_over_prime_fields_matches_golden(tmp_path):
         assert _matches_tier1_golden(tmp_path, name, argv), name
 
 
+def test_ring_and_verify_over_q_match_golden(tmp_path):
+    """ring and every verify suite over Q, whose reports the benchmark
+    checks only record by record, write their JSON reports byte for byte
+    as kept in tests/golden."""
+    for name, argv in (
+            ("ring-n4-d4-char0.json", ["ring", "--n", "4", "--deg-max", "4"]),
+            ("verify-n3-m3-char0.json",
+             ["verify", "--n", "3", "--m-max", "3", "--suite", "all"])):
+        assert _matches_tier1_golden(tmp_path, name, argv), name
+
+
 def test_bar_oracle_over_q_and_gf2_matches_golden(tmp_path):
     """The bar oracle over Q and over GF(2), fields whose bar blocks the
     benchmark's GF(3) verify workload never ranks, writes its JSON report

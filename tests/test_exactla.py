@@ -87,22 +87,51 @@ def test_field_of_char():
 
 
 def test_field_of_converts_scalars():
+    """Over Q an int stays an int, an integral Fraction becomes its
+    numerator and any other Fraction is kept as it is; no inverse is a
+    float.  Over GF(p) every scalar is reduced."""
     f = Fraction(2, 3)
     assert QQ.of(f) is f
-    assert QQ.of(3) == Fraction(3) and type(QQ.of(3)) is Fraction
+    assert QQ.of(3) == 3 and type(QQ.of(3)) is int
+    assert QQ.of(Fraction(4, 2)) == 2 and type(QQ.of(Fraction(4, 2))) is int
+    assert type(QQ.zero) is type(QQ.one) is int
+    assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
     assert GF(3).of(-1) == 2
     assert GF(3).of(Fraction(1, 2)) == 2
+
+
+_Q_VALUES = st.one_of(st.integers(), st.integers().map(Fraction),
+                      st.fractions(), st.fractions(max_denominator=4))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(x=_Q_VALUES)
+def test_rational_scalars_are_ints_exactly_when_integral(x):
+    """QQ.of(x) equals Fraction(x) and is an int exactly when the
+    denominator is 1, a Fraction otherwise; QQ.inv likewise on nonzero
+    values."""
+    q = QQ.of(x)
+    assert q == Fraction(x)
+    assert type(q) is (int if Fraction(x).denominator == 1 else Fraction)
+    if x:
+        inv = QQ.inv(x)
+        assert inv == 1 / Fraction(x)
+        assert type(inv) is (int if (1 / Fraction(x)).denominator == 1
+                             else Fraction)
 
 
 def test_sparse_matrix_drops_zeros_and_validates():
     """The builder converts every value with field.of, drops zeros, numbers
     the target keys that keep an entry by first use, and rejects values
     outside the field."""
-    column = {"a": {"x": 1, "y": 0}, "b": {"z": Fraction(3, 2), "x": 3}}.get
+    column = {"a": {"x": 1, "y": 0},
+              "b": {"z": Fraction(3, 2), "x": Fraction(6, 2)}}.get
     M = keyed_matrix(["a", "b"], column, QQ)
     assert (M.rows, M.cols, M.nnz()) == (2, 2, 3)
-    assert M.entries == [{0: Fraction(1), 1: Fraction(3)}, {1: Fraction(3, 2)}]
-    assert all(type(v) is Fraction for row in M.entries for v in row.values())
+    assert M.entries == [{0: 1, 1: 3}, {1: Fraction(3, 2)}]
+    assert ([[type(v) for v in row.values()] for row in M.entries]
+            == [[int, int], [Fraction]])
     M = keyed_matrix(["a", "b"], column, GF(3))
     assert (M.rows, M.cols, M.nnz()) == (1, 2, 1)
     assert M.entries == [{0: 1}]

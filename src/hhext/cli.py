@@ -408,9 +408,8 @@ def _make_parser():
     common(sp)
 
     sp = sub.add_parser("verify", help="run verification suites")
-    common(sp)
+    common(sp, with_deg=True)
     sp.add_argument("--suite", choices=SUITES, default="all")
-    sp.add_argument("--deg-max", type=int, default=4, dest="deg_max")
     sp.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
                     dest="oracle_cap",
                     help="largest bar complex dimension the oracle may build")
@@ -447,7 +446,7 @@ def main(argv=None):
             parser.error(f"--char: {exc}")
         if not prime:
             parser.error("--char must be 0 or a prime")
-    if getattr(args, "m_max", 0) is not None and getattr(args, "m_max", 0) < 0:
+    if getattr(args, "m_max", 0) < 0:
         parser.error("--m-max must be >= 0")
     if getattr(args, "deg_max", 0) < 0:
         parser.error("--deg-max must be >= 0")

@@ -2,13 +2,16 @@
 
 The degree-m term is the exterior algebra tensored with the degree-m
 commutative monomials; its basis elements are keyed by pairs (monomial
-index tuple, exponent vector).  Each differential is written once, as a
-column rule from a key to {target key: value}, its values field elements
-made once per rule by ``field.of``; ``exactla.keyed_matrix`` turns a rule
-into a matrix and ``exactla.apply`` maps vectors through it.  Ranks never
-need a global basis: both differentials are block diagonal by a Z^n
-weight; every block is built in full, and one equal to the block before
-it reuses that block's rank.
+index tuple, exponent vector).  Both differentials come from the one
+resolution differential, ``resolution.generator_terms``: the chain
+complex is A (x)_{A^e} P_m and the cochain complex Hom_{A^e}(P_m, A).
+Each is a column rule from a key to {target key: value}, its values
+field elements made once per rule by ``field.of``;
+``exactla.keyed_matrix`` turns a rule into a matrix and
+``exactla.apply`` maps vectors through it.  Ranks never need a global
+basis: both differentials are block diagonal by a Z^n weight; every
+block is built in full, and one equal to the block before it reuses
+that block's rank.
 
 A reduced bar complex provides an independent oracle for the same
 dimensions; it never touches the small resolution's generators.
@@ -23,7 +26,7 @@ from itertools import combinations, combinations_with_replacement
 from .exactla import apply, keyed_matrix, rank
 from .exterior import check_n, merge_signed, monomials
 from .formulas import binom
-from .resolution import exponent_vectors
+from .resolution import exponent_vectors, generator_terms
 
 DEFAULT_ORACLE_CAP = 50000
 
@@ -47,83 +50,69 @@ def grade(idx, e):
 
 
 # ---------------------------------------------------------------------------
-# The two differentials, each written once.  A column (idx, e) of either
-# differential has one factor, fixed by the monomial degree j = len(idx)
-# and the degree m, times the sign (-1)^mu of inserting a generator h into
-# idx, where mu counts the indices of idx below h.
+# The two differentials, both read off the summands (sign, l, r) of
+# ``generator_terms``.  A term table maps each monomial a = idx to its
+# entries (h, target monomial, value): every summand of generator_terms(d,
+# h) applied to a, its sign times the signs of the products from
+# merge_signed, summed per h.  Entries of value zero are dropped, and so
+# are monomials left with none.  The chain differential on
+# A (x)_{A^e} P_m takes a (x) l.g.r to r.a.l (x) g, with the degree-m
+# summands; the cochain differential leaving degree m evaluates a cochain
+# on d of a degree-(m+1) generator, taking the value a to l.a.r.
 
 
-def chain_factor(j, m, field):
-    """Factor (-1)^j + (-1)^m of a degree-m chain column whose monomial
-    has degree j."""
-    return field.of((-1) ** j + (-1) ** m)
+def _term_table(n, m, field, chain):
+    """The term table of the degree-m chain differential (``chain``) or
+    of the cochain differential leaving degree m."""
+    d = m if chain else m + 1
+    table = {}
+    for idx in monomials(n):
+        row = []
+        for h in range(1, n + 1):
+            acc = {}
+            for sign, l, r in generator_terms(d, h):
+                before, after = (r, l) if chain else (l, r)
+                left = merge_signed(before, idx)
+                res = left and merge_signed(left[1], after)
+                if res:
+                    acc[res[1]] = acc.get(res[1], 0) + sign * left[0] * res[0]
+            for t, c in acc.items():
+                v = field.of(c)
+                if v:
+                    row.append((h, t, v))
+        if row:
+            table[idx] = row
+    return table
 
 
-def cochain_factor(j, m, field):
-    """Factor 1 + (-1)^(m+j+1) of a degree-m cochain column whose
-    monomial has degree j."""
-    return field.of(1 + (-1) ** (m + j + 1))
-
-
-def _insertions(idx, n, signed):
-    """(h, idx with h inserted, signed[mu % 2]) for every generator h
-    outside the index tuple idx; ``signed`` is a pair (value, -value)."""
-    out = []
-    mu = 0
-    for h in range(1, n + 1):
-        if mu < len(idx) and idx[mu] == h:
-            mu += 1
-            continue
-        out.append((h, idx[:mu] + (h,) + idx[mu:], signed[mu % 2]))
-    return out
-
-
-def _insertion_table(factor_of, n, m, field):
-    """For every monomial whose degree-m column has a nonzero factor, its
-    insertions ``_insertions(idx, n, (factor, -factor))``, computed once
-    per column rule; monomials of vanishing factor are left out."""
-    pairs = []
-    for j in range(n + 1):
-        factor = factor_of(j, m, field)
-        pairs.append(None if factor == field.zero
-                     else (factor, field.of(-factor)))
-    return {idx: _insertions(idx, n, pairs[len(idx)])
-            for idx in monomials(n) if pairs[len(idx)]}
+def _column_rule(table, step):
+    """Column rule of a term table: (idx, e) goes to {(t, e + step * d_h):
+    v} over the entries (h, t, v) of idx with e_h + step >= 0."""
+    def column(key):
+        idx, e = key
+        return {(t, e[:h - 1] + (e[h - 1] + step,) + e[h:]): v
+                for h, t, v in table.get(idx, ()) if e[h - 1] + step >= 0}
+    return column
 
 
 def chain_column(n, m, field):
     """Column rule of the degree-m chain differential, lowering exponent
-    degree m to m - 1: (idx, e) goes to {(idx + h, e - h): factor *
-    (-1)^mu} over the h in the support of e outside idx, the factor
-    being chain_factor(len(idx), m)."""
-    table = _insertion_table(chain_factor, n, m, field)
-
-    def column(key):
-        idx, e = key
-        return {(t, e[:h - 1] + (e[h - 1] - 1,) + e[h:]): v
-                for h, t, v in table.get(idx, ()) if e[h - 1]}
-    return column
+    degree m to m - 1."""
+    return _column_rule(_term_table(n, m, field, True), -1)
 
 
 def cochain_column(n, m, field):
     """Column rule of the cochain differential raising exponent degree m
-    to m + 1: (idx, e) goes to {(idx + h, e + h): factor * (-1)^mu} over
-    the h outside idx, the factor being cochain_factor(len(idx), m)."""
-    table = _insertion_table(cochain_factor, n, m, field)
-
-    def column(key):
-        idx, e = key
-        return {(t, e[:h - 1] + (e[h - 1] + 1,) + e[h:]): v
-                for h, t, v in table.get(idx, ())}
-    return column
+    to m + 1."""
+    return _column_rule(_term_table(n, m, field, False), 1)
 
 
 # ---------------------------------------------------------------------------
 # Weight blocks.  The chain differential preserves w = 1_idx + e and the
 # cochain differential preserves v = e - 1_idx, so both matrices are block
 # diagonal by weight and their ranks are sums of block ranks.  Inside one
-# block every column has the same monomial degree, hence the same factor;
-# blocks whose factor vanishes are never built.
+# block every column has the same monomial degree; blocks of a degree
+# with no monomial in the term table are never built.
 
 
 def _shift(w, hs, d):
@@ -145,7 +134,8 @@ def _cochain_keys(minus, rest, base, size):
 
 def chain_blocks(n, m, field):
     """Yield (domain keys, block matrix) for every weight block of the
-    degree-m chain differential with a nonzero factor.
+    degree-m chain differential whose monomial degree is in the term
+    table.
 
     The block of w = 1_S + e has the columns (S, w - 1_S) with S inside
     supp(w) and |S| = |w| - m.
@@ -153,10 +143,12 @@ def chain_blocks(n, m, field):
     check_n(n)
     if m < 1:
         raise ValueError("m must be >= 1")
-    column = chain_column(n, m, field)
+    table = _term_table(n, m, field, True)
+    column = _column_rule(table, -1)
+    degrees = {len(idx) for idx in table}
     for s in range(1, n + 1):
         for j in range(max(0, s - m), s + 1):
-            if chain_factor(j, m, field) == field.zero:
+            if j not in degrees:
                 continue
             for support in combinations(range(1, n + 1), s):
                 for extra in combinations_with_replacement(support, m + j - s):
@@ -168,7 +160,8 @@ def chain_blocks(n, m, field):
 
 def cochain_blocks(n, m, field):
     """Yield (domain keys, block matrix) for every weight block of the
-    cochain differential leaving degree m with a nonzero factor.
+    cochain differential leaving degree m whose monomial degree is in the
+    term table.
 
     The block of v = e - 1_S has the columns (N + S', v + 1_(N + S'))
     where N = {h : v_h = -1} and S' runs over the subsets of the other
@@ -178,10 +171,9 @@ def cochain_blocks(n, m, field):
     if m < 0:
         raise ValueError("m must be >= 0")
     gens = range(1, n + 1)
-    column = cochain_column(n, m, field)
-    for j in range(n + 1):
-        if cochain_factor(j, m, field) == field.zero:
-            continue
+    table = _term_table(n, m, field, False)
+    column = _column_rule(table, 1)
+    for j in sorted({len(idx) for idx in table}):
         for t in range(max(0, j - m), j + 1):
             for minus in combinations(gens, t):
                 rest = tuple(h for h in gens if h not in minus)
@@ -240,18 +232,16 @@ def hh_dim_computed(n, m, field):
     """Hochschild homology dimension from matrix ranks (rank-nullity)."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    if m == 0:
-        return 2 ** n - chain_rank(n, 1, field)
-    return chain_dim(n, m) - chain_rank(n, m, field) - chain_rank(n, m + 1, field)
+    rank_out = chain_rank(n, m, field) if m else 0
+    return chain_dim(n, m) - rank_out - chain_rank(n, m + 1, field)
 
 
 def hhc_dim_computed(n, m, field):
     """Hochschild cohomology dimension from matrix ranks."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    if m == 0:
-        return 2 ** n - cochain_rank(n, 0, field)
-    return chain_dim(n, m) - cochain_rank(n, m - 1, field) - cochain_rank(n, m, field)
+    rank_in = cochain_rank(n, m - 1, field) if m else 0
+    return chain_dim(n, m) - rank_in - cochain_rank(n, m, field)
 
 
 def verify_d_squared_zero(n, m_max, field):
@@ -433,12 +423,9 @@ def bar_oracle_dims(n, m_max, field, cap=DEFAULT_ORACLE_CAP):
         )
     out = []
     for m in range(m_max + 1):
-        if m == 0:
-            h = 2 ** n - _bar_chain_rank(n, 1, field)
-            c = 2 ** n - _bar_cochain_rank(n, 0, field)
-        else:
-            dim = bar_chain_dim(n, m)
-            h = dim - _bar_chain_rank(n, m, field) - _bar_chain_rank(n, m + 1, field)
-            c = dim - _bar_cochain_rank(n, m - 1, field) - _bar_cochain_rank(n, m, field)
-        out.append((m, h, c))
+        dim = bar_chain_dim(n, m)
+        rank_out = _bar_chain_rank(n, m, field) if m else 0
+        rank_in = _bar_cochain_rank(n, m - 1, field) if m else 0
+        out.append((m, dim - rank_out - _bar_chain_rank(n, m + 1, field),
+                    dim - rank_in - _bar_cochain_rank(n, m, field)))
     return out

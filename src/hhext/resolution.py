@@ -3,7 +3,10 @@
 Degree-m generators are indexed by exponent vectors (i_1,...,i_n) with
 sum m.  Each generator is realized as a polynomial in the free algebra
 on x_1..x_n via the recursion  g(e) = sum_h g(e - delta_h) x_h,  with
-g(0) = 1.  The structural checks below machine-verify that these
+g(0) = 1.  The differential is written once, as the summands
+``generator_terms`` of d(e); ``generator_map`` lists them per generator
+and ``hhext.complexes`` builds both the chain and the cochain complex
+from them.  The structural checks below machine-verify that the
 polynomials form a basis of the expected relation-window intersection
 space and that the differential squares to zero.
 
@@ -14,7 +17,7 @@ dicts word -> integer coefficient.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
 from .exactla import QQ, keyed_matrix, rank, rank_gain
 from .exterior import check_n, merge_signed
@@ -37,6 +40,23 @@ def exponent_vectors(n, m):
     return tuple(out)
 
 
+def _predecessors(e):
+    """(h, e - d_h) for every h in the support of e."""
+    return [(h, e[:h - 1] + (e[h - 1] - 1,) + e[h:])
+            for h in range(1, len(e) + 1) if e[h - 1]]
+
+
+def _appended(n, e, right):
+    """sum_h g(e - d_h) x_h over the support of e when ``right``, else
+    sum_h x_h g(e - d_h), with no zero terms."""
+    terms = {}
+    for h, prev in _predecessors(e):
+        for word, c in generator_polynomial(n, prev).items():
+            w = word + (h,) if right else (h,) + word
+            terms[w] = terms.get(w, 0) + c
+    return {w: c for w, c in terms.items() if c}
+
+
 @lru_cache(maxsize=None)
 def generator_polynomial(n, e):
     """The degree-m generator for exponent vector e, as a free-algebra
@@ -46,19 +66,9 @@ def generator_polynomial(n, e):
     check_n(n)
     if any(i < 0 for i in e):
         raise ValueError("negative exponent")
-    m = sum(e)
-    if m == 0:
+    if not any(e):
         return {(): 1}
-    terms = {}
-    for h in range(1, n + 1):
-        if e[h - 1] == 0:
-            continue
-        prev = list(e)
-        prev[h - 1] -= 1
-        for word, c in generator_polynomial(n, tuple(prev)).items():
-            w = word + (h,)
-            terms[w] = terms.get(w, 0) + c
-    return terms
+    return _appended(n, e, right=True)
 
 
 def observed_coefficients(n, m):
@@ -75,20 +85,8 @@ def verify_left_right(n, m):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    for e in exponent_vectors(n, m):
-        left = {}
-        for h in range(1, n + 1):
-            if e[h - 1] == 0:
-                continue
-            prev = list(e)
-            prev[h - 1] -= 1
-            for word, c in generator_polynomial(n, tuple(prev)).items():
-                w = (h,) + word
-                left[w] = left.get(w, 0) + c
-        left = {w: c for w, c in left.items() if c}
-        if left != generator_polynomial(n, e):
-            return False
-    return True
+    return all(_appended(n, e, right=False) == generator_polynomial(n, e)
+               for e in exponent_vectors(n, m))
 
 
 def _relations(n):
@@ -133,33 +131,31 @@ def verify_generator_space_dim(n, m):
     return rank(M) == len(vecs) == binom(n + m - 1, n - 1)
 
 
+def generator_terms(m, h):
+    """The summands of the degree-m differential at one generator index
+    h, as (sign, left word, right word) around g(e - d_h):
+
+        d(e) = sum_h ( x_h . g(e - d_h) + (-1)^m g(e - d_h) . x_h )
+
+    over the h in the support of e.  This is the one place the sign of
+    the differential is written: ``generator_map`` and both column rules
+    of ``hhext.complexes`` read it.
+    """
+    return ((1, (h,), ()), ((-1) ** m, (), (h,)))
+
+
 def generator_map(n, m):
-    """The degree-m differential, as a signed summand list per generator.
-    Applied to the generator for e, the differential is
-
-        sum_h ( x_h . g(e - d_h) + (-1)^m g(e - d_h) . x_h )
-
-    with h running over the support of e.  Returns {e: summands} with
-    summands (sign, left word, target exponent vector, right word), where
-    the words are () or a single generator index.
+    """The degree-m differential, as a signed summand list per generator:
+    {e: summands} with summands (sign, left word, target exponent vector,
+    right word) from ``generator_terms(m, h)`` over the support of e.
     """
     check_n(n)
     if m < 1:
         raise ValueError("m must be >= 1")
-    sign = (-1) ** m
-    out = {}
-    for e in exponent_vectors(n, m):
-        summands = []
-        for h in range(1, n + 1):
-            if e[h - 1] == 0:
-                continue
-            prev = list(e)
-            prev[h - 1] -= 1
-            prev = tuple(prev)
-            summands.append((1, (h,), prev, ()))
-            summands.append((sign, (), prev, (h,)))
-        out[e] = summands
-    return out
+    return {e: [(sign, left, prev, right)
+                for h, prev in _predecessors(e)
+                for sign, left, right in generator_terms(m, h)]
+            for e in exponent_vectors(n, m)}
 
 
 def verify_delta_squared_zero(n, m):

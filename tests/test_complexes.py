@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from hhext import cli, complexes
+from hhext import cli, complexes, resolution
 from hhext.exactla import GF, QQ, apply, keyed_matrix, rank
 from hhext.formulas import (
     chain_rank_double_sum,
@@ -30,7 +30,6 @@ from hhext.complexes import (
     cochain_blocks,
     cochain_column,
     cochain_domain,
-    cochain_factor,
     cochain_rank,
     cochain_weight,
     grade,
@@ -56,10 +55,11 @@ def all_keys(n, m):
 def test_chain_matrix_entries():
     """Hand-checked differential column for x1 against the second exponent."""
     column = chain_column(2, 1, QQ)
-    # only h=2 applies: mu=1 gives sign -1, factor (-1)^1 + (-1)^1 = -2,
-    # so the (x1x2, (0,0)) entry is (-1)*(-2) = 2
+    # only h=2 applies: the summands (1, (2,), ()) and (-1, (), (2,)) of
+    # generator_terms(1, 2) act as r.a.l, giving x1.x2 - x2.x1 = 2 x1x2,
+    # so the (x1x2, (0,0)) entry is 2
     assert column(((1,), (0, 1))) == {((1, 2), (0, 0)): QQ.of(2)}
-    # even-degree monomials have factor 0 in odd homological degree
+    # on even-degree monomials the two summands cancel in odd degree
     assert column(((), (0, 1))) == {}
     assert column(((1, 2), (0, 1))) == {}
 
@@ -129,9 +129,10 @@ def test_blocks_partition_the_global_matrices():
 
 def test_cochain_domain_is_the_block_domain():
     """cochain_domain(n, m, v) is the domain cochain_blocks yields for v,
-    in the same order.  Blocks with a zero factor are skipped, the other
-    domains partition the keys of nonzero factor, and every key, zero
-    factor or not, lies in the domain of its own weight."""
+    in the same order.  Blocks whose columns are all empty are skipped,
+    the other domains partition the keys with a nonempty column, and
+    every key, empty column or not, lies in the domain of its own
+    weight."""
     for field in (QQ, GF(3)):
         for n in range(2, 5):
             for m in range(4):
@@ -144,8 +145,8 @@ def test_cochain_domain_is_the_block_domain():
                     v = cochain_weight(domain[0])
                     assert cochain_domain(n, m, v) == domain, (n, m, v)
                     seen += domain
-                nonzero = [k for k in keys if cochain_factor(
-                    len(k[0]), m, field) != field.zero]
+                column = cochain_column(n, m, field)
+                nonzero = [k for k in keys if column(k)]
                 assert sorted(seen) == sorted(nonzero), (n, m, field)
                 for v, group in by_weight.items():
                     assert sorted(cochain_domain(n, m, v)) == sorted(group)
@@ -177,21 +178,27 @@ def test_block_ranks_refine_rank_formulas():
                 assert +got == +Counter(terms), (n, m, field)
 
 
-def _unsigned_insertions(idx, n, signed):
-    """The shared insertion rule with the (-1)^mu sign dropped."""
-    return [(h, tuple(sorted(idx + (h,))), signed[0])
-            for h in range(1, n + 1) if h not in idx]
+def _unsigned_table(table):
+    """The term-table builder ``table`` with the sign (-1)^mu of inserting
+    h into idx divided out of every entry, mu counting the indices of idx
+    below h."""
+    def make(n, m, field, chain):
+        return {idx: [(h, t, field.of((-1) ** sum(i < h for i in idx) * v))
+                      for h, t, v in row]
+                for idx, row in table(n, m, field, chain).items()}
+    return make
 
 
 def test_dropped_sign_changes_block_ranks(monkeypatch):
-    """Both rank engines go through the one sign rule: without the
-    (-1)^mu sign the ranks leave the formulas.  At n = 2 the mutant goes
-    unnoticed, hence n = 3."""
+    """Both rank engines go through the one term table: without the
+    (-1)^mu insertion sign the ranks leave the formulas.  At n = 2 the
+    mutant goes unnoticed, hence n = 3."""
     assert chain_rank(3, 3, QQ) == chain_rank_double_sum(3, 3)
     assert cochain_rank(3, 2, QQ) == cochain_rank_double_sum(3, 2)
     chain_rank.cache_clear()
     cochain_rank.cache_clear()
-    monkeypatch.setattr(complexes, "_insertions", _unsigned_insertions)
+    monkeypatch.setattr(complexes, "_term_table",
+                        _unsigned_table(complexes._term_table))
     try:
         assert chain_rank(3, 3, QQ) != chain_rank_double_sum(3, 3)
         assert cochain_rank(3, 2, QQ) != cochain_rank_double_sum(3, 2)
@@ -201,42 +208,74 @@ def test_dropped_sign_changes_block_ranks(monkeypatch):
 
 
 def test_dropped_sign_breaks_d_squared_zero(monkeypatch):
-    """The d^2 = 0 check applies the shared column rules, so it fails
-    once the (-1)^mu sign of the insertion rule is dropped."""
-    monkeypatch.setattr(complexes, "_insertions", _unsigned_insertions)
+    """The d^2 = 0 check applies the column rules of the term table, so
+    it fails once the (-1)^mu insertion sign is divided out."""
+    monkeypatch.setattr(complexes, "_term_table",
+                        _unsigned_table(complexes._term_table))
     for n in (2, 3):
         for field in (QQ, GF(3)):
             assert not verify_d_squared_zero(n, 4, field), (n, field)
 
 
-def _flip_one_sign(rule, m0, key0):
-    """The column-rule factory ``rule`` with one sign flipped: in degree
-    m0, the entry of the smallest target in the column of key0."""
-    def make(n, m, field):
-        column = rule(n, m, field)
-        if m != m0:
+def _unsigned_terms(m, h):
+    """generator_terms with the (-1)^m of the right summand dropped."""
+    return ((1, (h,), ()), (1, (), (h,)))
+
+
+def test_dropped_degree_sign_fails_resolution_and_ranks(monkeypatch,
+                                                        tmp_path):
+    """generator_terms is the one definition of the differential: with
+    its (-1)^m dropped, one ``verify`` run fails the resolution's
+    composite-zero record, both rank records and both oracle comparisons,
+    which read the matrices built from the same terms."""
+    for module in (resolution, complexes):
+        monkeypatch.setattr(module, "generator_terms", _unsigned_terms)
+    chain_rank.cache_clear()
+    cochain_rank.cache_clear()
+    try:
+        out = tmp_path / "all.json"
+        assert cli.main(["verify", "--n", "3", "--m-max", "3", "--suite",
+                         "all", "--format", "json", "--no-timestamp",
+                         "--out", str(out)]) == 1
+        records = json.loads(out.read_text())["records"]
+    finally:
+        chain_rank.cache_clear()
+        cochain_rank.cache_clear()
+    failed = {r["id"] for r in records if r["status"] == "fail"}
+    assert {"resolution.composite-zero", "ranks.chain", "ranks.cochain",
+            "oracle.hh-vs-matrix", "oracle.hhc-vs-matrix"} <= failed, failed
+
+
+def _flip_one_sign(rule, step0, key0):
+    """The column-rule builder ``rule`` with one sign flipped: in the
+    rules of exponent step step0, the entry of the smallest target in the
+    column of key0.  Only the rule of key0's own degree reaches key0;
+    the flipped value is left for ``keyed_matrix`` to normalise."""
+    def make(table, step):
+        column = rule(table, step)
+        if step != step0:
             return column
 
         def mutant(key):
             col = column(key)
             if key == key0:
                 target = min(col)
-                col[target] = field.of(-col[target])
+                col[target] = -col[target]
             return col
         return mutant
     return make
 
 
-# Per side: the column rule, its rank, the closed double sum, its blocks,
-# the record that compares them, and the degree and key of one planted
-# sign at n = 4.  Each key lies in the middle of three consecutive weight
-# blocks with one and the same matrix: chain weight (1, 2, 0, 1) between
-# (2, 1, 0, 1) and (1, 1, 0, 2), cochain weight (0, 1, 0, 0) between
-# (1, 0, 0, 0) and (0, 0, 1, 0).
+# Per side: the exponent step of its column rule, its rank, the closed
+# double sum, its blocks, the record that compares them, and the degree
+# and key of one planted sign at n = 4.  Each key lies in the middle of
+# three consecutive weight blocks with one and the same matrix: chain
+# weight (1, 2, 0, 1) between (2, 1, 0, 1) and (1, 1, 0, 2), cochain
+# weight (0, 1, 0, 0) between (1, 0, 0, 0) and (0, 0, 1, 0).
 PLANTED = {
-    "chain": ("chain_column", chain_rank, chain_rank_double_sum, chain_blocks,
+    "chain": (-1, chain_rank, chain_rank_double_sum, chain_blocks,
               "ranks.chain", 3, ((1,), (0, 2, 0, 1))),
-    "cochain": ("cochain_column", cochain_rank, cochain_rank_double_sum,
+    "cochain": (1, cochain_rank, cochain_rank_double_sum,
                 cochain_blocks, "ranks.cochain", 2, ((1,), (1, 1, 0, 0))),
 }
 
@@ -258,11 +297,11 @@ def test_planted_sign_inside_a_run_of_equal_blocks_is_caught(
     planted degree only, and ``verify --suite ranks`` fails there.  So
     the block is compared whole and ranked itself, and does not borrow
     the rank of the equal-looking block before it."""
-    rule, rank_of, double_sum, blocks, record, m0, key0 = PLANTED[side]
+    step, rank_of, double_sum, blocks, record, m0, key0 = PLANTED[side]
     before, planted, after = _neighbourhood(blocks, m0, key0)
     assert before == planted == after
-    monkeypatch.setattr(complexes, rule,
-                        _flip_one_sign(getattr(complexes, rule), m0, key0))
+    monkeypatch.setattr(complexes, "_column_rule",
+                        _flip_one_sign(complexes._column_rule, step, key0))
     before, planted, after = _neighbourhood(blocks, m0, key0)
     assert before == after != planted
     rank_of.cache_clear()

@@ -58,14 +58,18 @@ def test_relation_window_membership():
 def test_relation_window_membership_fails_under_planted_defects(monkeypatch):
     """A generator with unequal x_1 x_2 and x_2 x_1 coefficients, or a
     relation list with x_1 x_2 - x_2 x_1 in place of x_1 x_2 + x_2 x_1,
-    puts a middle slice outside the relations, and the check fails."""
+    puts a middle slice outside the relations, and the check fails.  The
+    lopsided generator also differs from the left-appended recursion, so
+    the left-right check fails on it too."""
     n, m = 2, 2
     assert verify_relation_window_membership(n, m)
+    assert verify_left_right(n, m)
     true_poly = resolution.generator_polynomial
     lopsided = lambda n, e: ({(1, 2): 1, (2, 1): 2} if e == (1, 1)
                              else true_poly(n, e))
     monkeypatch.setattr(resolution, "generator_polynomial", lopsided)
     assert not verify_relation_window_membership(n, m)
+    assert not verify_left_right(n, m)
     monkeypatch.undo()
 
     relations = resolution._relations(n)

@@ -533,12 +533,13 @@ def test_planted_char2_product_fails_its_records(monkeypatch, orders,
 
 
 def test_planted_char2_factor_fails_vanishing_check(monkeypatch):
-    """A cochain factor planted nonzero in characteristic 2 turns the
-    vanishing check false: the check applies the column rule afresh."""
+    """Differential terms that keep only the left summand x_h . g(e - d_h)
+    no longer cancel in characteristic 2, and the vanishing check turns
+    false: the check applies the column rules afresh."""
     F = GF(2)
     assert char2_ring_check(3, 2, F)["differentials_vanish"]
-    monkeypatch.setattr(complexes, "cochain_factor",
-                        lambda j, m, field: field.one)
+    monkeypatch.setattr(complexes, "generator_terms",
+                        lambda m, h: ((1, (h,), ()),))
     complexes.cochain_rank.cache_clear()
     try:
         rep = char2_ring_check(3, 2, F)

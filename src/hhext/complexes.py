@@ -5,13 +5,13 @@ commutative monomials; its basis elements are keyed by pairs (monomial
 index tuple, exponent vector).  Both differentials come from the one
 resolution differential, ``resolution.generator_terms``: the chain
 complex is A (x)_{A^e} P_m and the cochain complex Hom_{A^e}(P_m, A).
-Each is a column rule from a key to {target key: value}, its values
-field elements made once per rule by ``field.of``;
-``exactla.keyed_matrix`` turns a rule into a matrix and
-``exactla.apply`` maps vectors through it.  Ranks never need a global
-basis: both differentials are block diagonal by a Z^n weight; every
-block is built in full, and one equal to the block before it reuses
-that block's rank.
+Both are read off one term table, its values field elements made once
+per table by ``field.of``.  As a column rule from a key to {target key:
+value} the table feeds ``exactla.apply``, which maps vectors through
+it.  Ranks never need a global basis: both differentials are block
+diagonal by a Z^n weight, and each weight block is assembled straight
+from the table, its rows named by their monomial.  Every block is built
+in full, and one equal to the block before it reuses that block's rank.
 
 A reduced bar complex provides an independent oracle for the same
 dimensions; it never touches the small resolution's generators.
@@ -23,7 +23,7 @@ from collections import defaultdict
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
-from .exactla import apply, keyed_matrix, rank
+from .exactla import SparseMatrix, apply, keyed_matrix, rank
 from .exterior import check_n, merge_signed, monomials
 from .formulas import binom
 from .resolution import exponent_vectors, generator_terms
@@ -113,6 +113,28 @@ def cochain_column(n, m, field):
 # diagonal by weight and their ranks are sums of block ranks.  Inside one
 # block every column has the same monomial degree; blocks of a degree
 # with no monomial in the term table are never built.
+# Inside the block of w a target (t, e') has 1_t + e' = w (chain) or
+# e' - 1_t = w (cochain), so its monomial t alone names it.  No two keys
+# of a block share a monomial.
+
+
+def _block(domain, table, step, field):
+    """Matrix of one weight block, assembled from the term table: column
+    c holds the entries (h, t, v) of its key (idx, e) with e_h + step >=
+    0, in row t.  Rows are numbered in order of first use, so the matrix
+    is ``keyed_matrix(domain, _column_rule(table, step), field)``."""
+    index = {}
+    entries = []
+    for c, (idx, e) in enumerate(domain):
+        for h, t, v in table.get(idx, ()):
+            if e[h - 1] + step >= 0:
+                r = index.get(t)
+                if r is None:
+                    index[t] = len(entries)
+                    entries.append({c: v})
+                else:
+                    entries[r][c] = v
+    return SparseMatrix(len(entries), len(domain), field, entries)
 
 
 def _shift(w, hs, d):
@@ -144,7 +166,6 @@ def chain_blocks(n, m, field):
     if m < 1:
         raise ValueError("m must be >= 1")
     table = _term_table(n, m, field, True)
-    column = _column_rule(table, -1)
     degrees = {len(idx) for idx in table}
     for s in range(1, n + 1):
         for j in range(max(0, s - m), s + 1):
@@ -155,7 +176,7 @@ def chain_blocks(n, m, field):
                     w = _shift((0,) * n, support + extra, 1)
                     domain = [(S, _shift(w, S, -1))
                               for S in combinations(support, j)]
-                    yield domain, keyed_matrix(domain, column, field)
+                    yield domain, _block(domain, table, -1, field)
 
 
 def cochain_blocks(n, m, field):
@@ -172,7 +193,6 @@ def cochain_blocks(n, m, field):
         raise ValueError("m must be >= 0")
     gens = range(1, n + 1)
     table = _term_table(n, m, field, False)
-    column = _column_rule(table, 1)
     for j in sorted({len(idx) for idx in table}):
         for t in range(max(0, j - m), j + 1):
             for minus in combinations(gens, t):
@@ -180,7 +200,7 @@ def cochain_blocks(n, m, field):
                 for extra in combinations_with_replacement(rest, m - j + t):
                     base = _shift((0,) * n, extra, 1)
                     domain = _cochain_keys(minus, rest, base, j - t)
-                    yield domain, keyed_matrix(domain, column, field)
+                    yield domain, _block(domain, table, 1, field)
 
 
 def cochain_weight(key):

@@ -130,7 +130,9 @@ def field_of_char(char):
 
 
 class SparseMatrix:
-    """Sparse matrix over an exact field, built only by ``keyed_matrix``.
+    """Sparse matrix over an exact field, built by ``keyed_matrix`` or,
+    for a weight block of the resolution complexes, straight from their
+    term table.
 
     ``entries[r]`` is row r as a dict {col: nonzero scalar}; no row is
     empty.  Nothing here mutates it; rank works on a copy.

@@ -218,6 +218,13 @@ def test_dims_over_prime_fields_match_golden(tmp_path):
             ["dims", "--n", "5", "--m-max", "6", "--char", char]), char
 
 
+def test_dims_over_q_at_n8_matches_golden(tmp_path):
+    """dims over Q at n = 8, past the benchmark's n = 7, writes its JSON
+    report byte for byte as kept in tests/golden."""
+    assert _matches_tier1_golden(tmp_path, "dims-n8-m4-char0.json",
+                                 ["dims", "--n", "8", "--m-max", "4"])
+
+
 def test_ring_over_prime_fields_matches_golden(tmp_path):
     """ring in characteristic 2 (the product check of char2_ring_check)
     and over GF(5), cup paths that no benchmark workload takes, writes

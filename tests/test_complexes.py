@@ -127,6 +127,28 @@ def test_blocks_partition_the_global_matrices():
                     assert sum(M.nnz() for M in got) == full.nnz(), (n, m, field)
 
 
+def test_blocks_are_the_keyed_matrices_of_the_column_rules():
+    """Every weight block, assembled straight from the term table with
+    its rows named by their monomial, is the matrix ``keyed_matrix``
+    makes of its domain and the column rule: the same columns, and the
+    same rows, entries and values in the same order."""
+    built = 0
+    for field in FIELDS:
+        for n in range(2, 6):
+            for m in range(5):
+                sides = [(cochain_blocks, cochain_column)]
+                if m >= 1:
+                    sides.append((chain_blocks, chain_column))
+                for blocks, column_of in sides:
+                    column = column_of(n, m, field)
+                    for domain, M in blocks(n, m, field):
+                        K = keyed_matrix(domain, column, field)
+                        assert (M.rows, M.cols, M.entries) == (
+                            K.rows, K.cols, K.entries), (n, m, field, domain)
+                        built += 1
+    assert built == 4990
+
+
 def test_cochain_domain_is_the_block_domain():
     """cochain_domain(n, m, v) is the domain cochain_blocks yields for v,
     in the same order.  Blocks whose columns are all empty are skipped,
@@ -246,27 +268,22 @@ def test_dropped_degree_sign_fails_resolution_and_ranks(monkeypatch,
             "oracle.hh-vs-matrix", "oracle.hhc-vs-matrix"} <= failed, failed
 
 
-def _flip_one_sign(rule, step0, key0):
-    """The column-rule builder ``rule`` with one sign flipped: in the
-    rules of exponent step step0, the entry of the smallest target in the
-    column of key0.  Only the rule of key0's own degree reaches key0;
-    the flipped value is left for ``keyed_matrix`` to normalise."""
-    def make(table, step):
-        column = rule(table, step)
-        if step != step0:
-            return column
-
-        def mutant(key):
-            col = column(key)
-            if key == key0:
-                target = min(col)
-                col[target] = -col[target]
-            return col
-        return mutant
-    return make
+def _flip_one_sign(block, step0, key0):
+    """The block assembler ``block`` with one sign flipped: in the block
+    of exponent step step0 that holds key0, the first entry of key0's
+    column.  The shared term table, which every block and every column
+    rule reads, is left as it is."""
+    def mutant(domain, table, step, field):
+        M = block(domain, table, step, field)
+        if step == step0 and key0 in domain:
+            c = domain.index(key0)
+            row = next(row for row in M.entries if c in row)
+            row[c] = field.of(-row[c])
+        return M
+    return mutant
 
 
-# Per side: the exponent step of its column rule, its rank, the closed
+# Per side: the exponent step of its blocks, its rank, the closed
 # double sum, its blocks, the record that compares them, and the degree
 # and key of one planted sign at n = 4.  Each key lies in the middle of
 # three consecutive weight blocks with one and the same matrix: chain
@@ -300,8 +317,8 @@ def test_planted_sign_inside_a_run_of_equal_blocks_is_caught(
     step, rank_of, double_sum, blocks, record, m0, key0 = PLANTED[side]
     before, planted, after = _neighbourhood(blocks, m0, key0)
     assert before == planted == after
-    monkeypatch.setattr(complexes, "_column_rule",
-                        _flip_one_sign(complexes._column_rule, step, key0))
+    monkeypatch.setattr(complexes, "_block",
+                        _flip_one_sign(complexes._block, step, key0))
     before, planted, after = _neighbourhood(blocks, m0, key0)
     assert before == after != planted
     rank_of.cache_clear()

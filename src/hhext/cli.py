@@ -97,23 +97,21 @@ def _dims_records(ns, m_max, char):
     field = field_of_char(char)
     out = []
     for n in ns:
+        hh = [hh_dim_computed(n, m, field) for m in range(m_max + 1)]
+        hhc = [hhc_dim_computed(n, m, field) for m in range(m_max + 1)]
         for m in range(m_max + 1):
             p = {"n": n, "m": m, "char": char}
-            out.append(_rec("dims.hh", p, hh_dim_formula(n, m, char),
-                            hh_dim_computed(n, m, field)))
-            out.append(_rec("dims.hhc", p, hhc_dim_formula(n, m, char),
-                            hhc_dim_computed(n, m, field)))
+            out.append(_rec("dims.hh", p, hh_dim_formula(n, m, char), hh[m]))
+            out.append(_rec("dims.hhc", p, hhc_dim_formula(n, m, char), hhc[m]))
         coeffs = hilbert_coeffs(n, char, m_max + 1)
         for m in range(m_max + 1):
             p = {"n": n, "m": m, "char": char}
-            out.append(_rec("dims.hilbert", p, coeffs[m],
-                            hhc_dim_computed(n, m, field)))
+            out.append(_rec("dims.hilbert", p, coeffs[m], hhc[m]))
         if char == 0:
             for m in range(m_max + 1):
                 p = {"n": n, "m": m, "char": 0}
-                out.append(_rec(
-                    "dims.cyclic", p, hc_dim_formula(n, m, 0),
-                    _cyclic_dim(m, lambda i: hh_dim_computed(n, i, field))))
+                out.append(_rec("dims.cyclic", p, hc_dim_formula(n, m, 0),
+                                _cyclic_dim(m, hh.__getitem__)))
     return out
 
 

@@ -10,18 +10,22 @@ per table by ``field.of``.  As a column rule from a key to {target key:
 value} the table feeds ``exactla.apply``, which maps vectors through
 it.  Ranks never need a global basis: both differentials are block
 diagonal by a Z^n weight, and each weight block is assembled straight
-from the table, its rows named by their monomial.  Every block is built
-in full, and one equal to the block before it reuses that block's rank.
+from the table, its rows named by their monomial.  Permuting the
+generators is an automorphism sending g(e) to g(sigma e), and it carries
+each weight block onto the blocks of its S_n orbit by a signed
+permutation, so a rank is an orbit sum: orbit size times the rank of
+the block of the nonincreasing weight.  No rank is kept between calls.
 
 A reduced bar complex provides an independent oracle for the same
-dimensions; it never touches the small resolution's generators.
+dimensions; it never touches the small resolution's generators.  It
+builds and ranks every one of its blocks.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from collections import Counter, defaultdict
+from itertools import combinations
+from math import factorial, prod
 
 from .exactla import SparseMatrix, apply, keyed_matrix, rank
 from .exterior import check_n, merge_signed, monomials
@@ -42,11 +46,6 @@ def chain_keys(n, m):
 
 def chain_dim(n, m):
     return 2 ** n * binom(n + m - 1, n - 1)
-
-
-def grade(idx, e):
-    """Size of the support: indices in the monomial or with a positive exponent."""
-    return len(set(idx) | {h + 1 for h, v in enumerate(e) if v})
 
 
 # ---------------------------------------------------------------------------
@@ -145,62 +144,70 @@ def _shift(w, hs, d):
     return tuple(out)
 
 
-def _cochain_keys(minus, rest, base, size):
-    """The keys (N + S', base + 1_S') of one cochain weight block, over
-    the subsets S' of the generators ``rest`` with ``size`` elements;
-    ``minus`` is N and ``base`` the weight with its -1 entries raised
-    to 0."""
-    return [(tuple(sorted(minus + S)), _shift(base, S, 1))
-            for S in combinations(rest, size)]
+def _partitions(k, parts, top):
+    """The nonincreasing tuples of ``parts`` integers in [0, top] with sum k."""
+    if not parts:
+        return [()] if k == 0 else []
+    return [(first,) + rest for first in range(min(k, top), -1, -1)
+            for rest in _partitions(k - first, parts - 1, first)]
+
+
+def _orbit(w):
+    """The size of the S_n orbit of the weight w: n! over the factorials
+    of the multiplicities of its entries."""
+    return factorial(len(w)) // prod(map(factorial, Counter(w).values()))
 
 
 def chain_blocks(n, m, field):
-    """Yield (domain keys, block matrix) for every weight block of the
-    degree-m chain differential whose monomial degree is in the term
-    table.
-
-    The block of w = 1_S + e has the columns (S, w - 1_S) with S inside
-    supp(w) and |S| = |w| - m.
-    """
+    """Yield (domain keys, block matrix, orbit size) for the nonincreasing
+    weights w of the degree-m chain differential.  The block of
+    w = 1_S + e has the columns (S, w - 1_S), S inside supp(w) and
+    |S| = j = |w| - m; for support {1..s}, w - 1 there is a partition of
+    m + j - s."""
     check_n(n)
     if m < 1:
         raise ValueError("m must be >= 1")
     table = _term_table(n, m, field, True)
-    degrees = {len(idx) for idx in table}
-    for s in range(1, n + 1):
-        for j in range(max(0, s - m), s + 1):
-            if j not in degrees:
-                continue
-            for support in combinations(range(1, n + 1), s):
-                for extra in combinations_with_replacement(support, m + j - s):
-                    w = _shift((0,) * n, support + extra, 1)
-                    domain = [(S, _shift(w, S, -1))
-                              for S in combinations(support, j)]
-                    yield domain, _block(domain, table, -1, field)
+    for j in sorted({len(idx) for idx in table}):
+        for s in range(max(j, 1), min(n, m + j) + 1):
+            for p in _partitions(m + j - s, s, m):
+                w = tuple(x + 1 for x in p) + (0,) * (n - s)
+                domain = [(S, _shift(w, S, -1))
+                          for S in combinations(range(1, s + 1), j)]
+                yield domain, _block(domain, table, -1, field), _orbit(w)
+
+
+def cochain_domain(n, m, v):
+    """The domain keys (N + S', v + 1_(N + S')) of the weight-v block of
+    the cochain differential leaving degree m, v >= -1: N = {h : v_h =
+    -1} and S' runs over the subsets of the other generators of size
+    m - |v| - |N| (none when that is negative)."""
+    gens = range(1, n + 1)
+    minus = tuple(h for h in gens if v[h - 1] < 0)
+    size = m - sum(v) - len(minus)
+    if size < 0:
+        return []
+    rest = tuple(h for h in gens if v[h - 1] >= 0)
+    base = tuple(max(x, 0) for x in v)
+    return [(tuple(sorted(minus + S)), _shift(base, S, 1))
+            for S in combinations(rest, size)]
 
 
 def cochain_blocks(n, m, field):
-    """Yield (domain keys, block matrix) for every weight block of the
-    cochain differential leaving degree m whose monomial degree is in the
-    term table.
-
-    The block of v = e - 1_S has the columns (N + S', v + 1_(N + S'))
-    where N = {h : v_h = -1} and S' runs over the subsets of the other
-    generators of size |S| - |N|, with |S| = m - |v|.
-    """
+    """Yield (domain keys, block matrix, orbit size) for the nonincreasing
+    weights v of the cochain differential leaving degree m.  The weight
+    v = e - 1_S, |v| = m - j for j = |S|, is -1 on the t generators in S
+    with e_h = 0, j - m <= t <= j: a partition of m - j + t, then t -1s."""
     check_n(n)
     if m < 0:
         raise ValueError("m must be >= 0")
-    gens = range(1, n + 1)
     table = _term_table(n, m, field, False)
     for j in sorted({len(idx) for idx in table}):
         for t in range(max(0, j - m), j + 1):
-            for minus in combinations(gens, t):
-                rest = tuple(h for h in gens if h not in minus)
-                for extra in combinations_with_replacement(rest, m - j + t):
-                    base = _shift((0,) * n, extra, 1)
-                    domain = _cochain_keys(minus, rest, base, j - t)
-                    yield domain, _block(domain, table, 1, field)
+            for p in _partitions(m - j + t, n - t, m):
+                v = p + (-1,) * t
+                domain = cochain_domain(n, m, v)
+                yield domain, _block(domain, table, 1, field), _orbit(v)
 
 
 def cochain_weight(key):
@@ -210,42 +217,14 @@ def cochain_weight(key):
     return _shift(e, idx, -1)
 
 
-def cochain_domain(n, m, v):
-    """The domain keys of the weight-v block of the cochain differential
-    leaving degree m, in the order ``cochain_blocks`` lists them, for a
-    weight v with entries >= -1.  Empty when the subset size
-    m - |v| - |N| is negative."""
-    gens = range(1, n + 1)
-    minus = tuple(h for h in gens if v[h - 1] < 0)
-    size = m - sum(v) - len(minus)
-    if size < 0:
-        return []
-    rest = tuple(h for h in gens if v[h - 1] >= 0)
-    return _cochain_keys(minus, rest, tuple(max(x, 0) for x in v), size)
-
-
-def _rank_sum(blocks):
-    """Sum of the ranks of the blocks.  A block equal to the one just
-    before it, compared whole by shape and entries, reuses that block's
-    rank; every other block is ranked itself."""
-    total = 0
-    last = last_rank = None
-    for _, M in blocks:
-        block = (M.cols, M.entries)
-        if block != last:
-            last, last_rank = block, rank(M)
-        total += last_rank
-    return total
-
-
-@lru_cache(maxsize=None)
 def chain_rank(n, m, field):
-    return _rank_sum(chain_blocks(n, m, field))
+    """Rank of the degree-m chain differential, as an orbit sum."""
+    return sum(orbit * rank(M) for _, M, orbit in chain_blocks(n, m, field))
 
 
-@lru_cache(maxsize=None)
 def cochain_rank(n, m, field):
-    return _rank_sum(cochain_blocks(n, m, field))
+    """Rank of the cochain differential leaving degree m, as an orbit sum."""
+    return sum(orbit * rank(M) for _, M, orbit in cochain_blocks(n, m, field))
 
 
 def hh_dim_computed(n, m, field):
@@ -410,16 +389,6 @@ def bar_cochain_blocks(n, m, field):
     return _bar_blocks(n, m, _cochain_key, -1, _bar_cochain_rule(n, m), field)
 
 
-@lru_cache(maxsize=None)
-def _bar_chain_rank(n, m, field):
-    return sum(rank(M) for _, M in bar_chain_blocks(n, m, field))
-
-
-@lru_cache(maxsize=None)
-def _bar_cochain_rank(n, m, field):
-    return sum(rank(M) for _, M in bar_cochain_blocks(n, m, field))
-
-
 def largest_feasible_degree(n, cap=DEFAULT_ORACLE_CAP):
     """Largest m for which the bar oracle stays within the cap, i.e. with
     2^n (2^n - 1)^(m + 1) <= cap.  Can be -1 when even m = 0 is too big."""
@@ -441,11 +410,13 @@ def bar_oracle_dims(n, m_max, field, cap=DEFAULT_ORACLE_CAP):
             f"bar complex dimension {worst} at degree {m_max + 1} "
             f"exceeds the cap {cap}"
         )
-    out = []
-    for m in range(m_max + 1):
-        dim = bar_chain_dim(n, m)
-        rank_out = _bar_chain_rank(n, m, field) if m else 0
-        rank_in = _bar_cochain_rank(n, m - 1, field) if m else 0
-        out.append((m, dim - rank_out - _bar_chain_rank(n, m + 1, field),
-                    dim - rank_in - _bar_cochain_rank(n, m, field)))
-    return out
+
+    def ranks(blocks, degrees):
+        return [sum(rank(M) for _, M in blocks(n, m, field)) for m in degrees]
+    # the ranks of the chain differentials leaving degree m and of the
+    # cochain differentials entering it, both 0 at m = 0
+    chain = [0] + ranks(bar_chain_blocks, range(1, m_max + 2))
+    cochain = [0] + ranks(bar_cochain_blocks, range(m_max + 1))
+    return [(m, bar_chain_dim(n, m) - chain[m] - chain[m + 1],
+             bar_chain_dim(n, m) - cochain[m] - cochain[m + 1])
+            for m in range(m_max + 1)]

@@ -1,8 +1,7 @@
 """The caches that live as long as the process.
 
-Four hold rank integers; the other two hold the resolution's exponent
-vectors and generator polynomials.  None holds a matrix, a span or a
-product table.  A new process-lifetime cache fails here until it is
+They hold the resolution's exponent vectors and generator polynomials.
+None holds a rank, a matrix, a span or a product table.  A new process-lifetime cache fails here until it is
 listed, so each one is a deliberate choice.
 """
 
@@ -11,16 +10,12 @@ import sys
 import hhext.cli  # noqa: F401  (loads every hhext module)
 
 PROCESS_CACHES = {
-    "hhext.complexes.chain_rank",
-    "hhext.complexes.cochain_rank",
-    "hhext.complexes._bar_chain_rank",
-    "hhext.complexes._bar_cochain_rank",
     "hhext.resolution.exponent_vectors",
     "hhext.resolution.generator_polynomial",
 }
 
 
-def test_process_lifetime_caches_are_the_listed_six():
+def test_process_lifetime_caches_are_the_listed_two():
     modules = [mod for name, mod in sys.modules.items()
                if name == "hhext" or name.startswith("hhext.")]
     found = {f"{fn.__module__}.{fn.__qualname__}"

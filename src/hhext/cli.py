@@ -38,13 +38,11 @@ from .formulas import (
 )
 from .complexes import (
     DEFAULT_ORACLE_CAP,
+    TermTables,
     bar_oracle_dims,
     chain_dim,
-    chain_rank,
-    cochain_rank,
-    hh_dim_computed,
-    hhc_dim_computed,
     largest_feasible_degree,
+    resolution_ranks,
     verify_d_squared_zero,
 )
 from .resolution import (
@@ -97,21 +95,22 @@ def _dims_records(ns, m_max, char):
     field = field_of_char(char)
     out = []
     for n in ns:
-        hh = [hh_dim_computed(n, m, field) for m in range(m_max + 1)]
-        hhc = [hhc_dim_computed(n, m, field) for m in range(m_max + 1)]
+        ranks = resolution_ranks(TermTables(n, field), m_max)
         for m in range(m_max + 1):
             p = {"n": n, "m": m, "char": char}
-            out.append(_rec("dims.hh", p, hh_dim_formula(n, m, char), hh[m]))
-            out.append(_rec("dims.hhc", p, hhc_dim_formula(n, m, char), hhc[m]))
+            out.append(_rec("dims.hh", p, hh_dim_formula(n, m, char),
+                            ranks.hh(m)))
+            out.append(_rec("dims.hhc", p, hhc_dim_formula(n, m, char),
+                            ranks.hhc(m)))
         coeffs = hilbert_coeffs(n, char, m_max + 1)
         for m in range(m_max + 1):
             p = {"n": n, "m": m, "char": char}
-            out.append(_rec("dims.hilbert", p, coeffs[m], hhc[m]))
+            out.append(_rec("dims.hilbert", p, coeffs[m], ranks.hhc(m)))
         if char == 0:
             for m in range(m_max + 1):
                 p = {"n": n, "m": m, "char": 0}
                 out.append(_rec("dims.cyclic", p, hc_dim_formula(n, m, 0),
-                                _cyclic_dim(m, hh.__getitem__)))
+                                _cyclic_dim(m, ranks.hh)))
     return out
 
 
@@ -140,21 +139,23 @@ def _ranks_records(ns, m_max, char):
     field = field_of_char(char)
     out = []
     for n in ns:
+        tables = TermTables(n, field)
+        ranks = resolution_ranks(tables, m_max)
         for m in range(1, m_max + 1):
             p = {"n": n, "m": m, "char": char}
             out.append(_rec("ranks.chain", p, chain_rank_double_sum(n, m, char),
-                            chain_rank(n, m, field)))
+                            ranks.chain[m]))
         for m in range(m_max + 1):
             p = {"n": n, "m": m, "char": char}
             out.append(_rec("ranks.cochain", p, cochain_rank_double_sum(n, m, char),
-                            cochain_rank(n, m, field)))
+                            ranks.cochain[m]))
         p = {"n": n, "m_max": m_max, "char": char}
         if m_max == 0:
             out.append(_rec("ranks.composite-zero", p, None, None, "skip",
                             "no two differentials compose within degree 0"))
         else:
             out.append(_rec("ranks.composite-zero", p, True,
-                            verify_d_squared_zero(n, m_max, field)))
+                            verify_d_squared_zero(tables, m_max)))
     return out
 
 
@@ -194,15 +195,13 @@ def _oracle_records(ns, m_max, char, cap):
     for n in ns:
         feasible = min(m_max, largest_feasible_degree(n, cap))
         if feasible >= 0:
-            dims = bar_oracle_dims(n, feasible, field, cap)
-            for m, h, c in dims:
+            ranks = resolution_ranks(TermTables(n, field), feasible)
+            for m, h, c in bar_oracle_dims(n, feasible, field, cap):
                 p = {"n": n, "m": m, "char": char}
                 out.append(_rec("oracle.hh", p, hh_dim_formula(n, m, char), h))
                 out.append(_rec("oracle.hhc", p, hhc_dim_formula(n, m, char), c))
-                out.append(_rec("oracle.hh-vs-matrix", p,
-                                hh_dim_computed(n, m, field), h))
-                out.append(_rec("oracle.hhc-vs-matrix", p,
-                                hhc_dim_computed(n, m, field), c))
+                out.append(_rec("oracle.hh-vs-matrix", p, ranks.hh(m), h))
+                out.append(_rec("oracle.hhc-vs-matrix", p, ranks.hhc(m), c))
         for m in range(feasible + 1, m_max + 1):
             p = {"n": n, "m": m, "char": char}
             note = f"bar complex too large at cap {cap}"
@@ -215,15 +214,16 @@ def _oracle_records(ns, m_max, char, cap):
     return out
 
 
-def _basis_records(n, m, field):
+def _basis_records(n, m, field, dim):
     """The two records of the degree-m basis, built once; it is dropped on
-    return, before the next degree is built."""
+    return, before the next degree is built.  ``dim`` is the computed
+    cohomology dimension."""
     p = {"n": n, "m": m, "char": field.char}
     basis = cohomology_basis(n, m, field)
     return [_rec("ring.basis-count", p, hhc_dim_formula(n, m, field.char),
                  len(basis)),
             _rec("ring.basis-independent", p, True,
-                 verify_cohomology_basis(n, m, field, basis))]
+                 verify_cohomology_basis(n, m, field, basis, dim))]
 
 
 def _ring_records(ns, deg_max, char):
@@ -238,8 +238,10 @@ def _ring_records(ns, deg_max, char):
                 out.append(_rec(f"ring.char2.{key.replace('_', '-')}", p,
                                 True, rep[key]))
             continue
+        ranks = resolution_ranks(TermTables(n, field), deg_max)
+        hhc = [ranks.hhc(m) for m in range(deg_max + 1)]
         for m in range(deg_max + 1):
-            out += _basis_records(n, m, field)
+            out += _basis_records(n, m, field, hhc[m])
         for rec in verify_ring_relations(n, field):
             p = {"n": n, "family": rec["family"], "char": char}
             out.append(_rec("ring.relation-family", p,
@@ -253,7 +255,7 @@ def _ring_records(ns, deg_max, char):
                         verify_graded_commutativity(n, field, deg_max)))
         out.append(_rec("ring.associativity", p, True,
                         verify_associativity(n, field, deg_max)))
-        audits = presentation_audit(n, deg_max, field)
+        audits = presentation_audit(n, field, hhc)
         for audit in audits:
             p = {"n": n, "degree": audit["degree"], "char": char}
             expected = audit["expected"]

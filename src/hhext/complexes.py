@@ -5,16 +5,20 @@ commutative monomials; its basis elements are keyed by pairs (monomial
 index tuple, exponent vector).  Both differentials come from the one
 resolution differential, ``resolution.generator_terms``: the chain
 complex is A (x)_{A^e} P_m and the cochain complex Hom_{A^e}(P_m, A).
-Both are read off one term table, its values field elements made once
-per table by ``field.of``.  As a column rule from a key to {target key:
-value} the table feeds ``exactla.apply``, which maps vectors through
-it.  Ranks never need a global basis: both differentials are block
-diagonal by a Z^n weight, and each weight block is assembled straight
-from the table, its rows named by their monomial.  Permuting the
-generators is an automorphism sending g(e) to g(sigma e), and it carries
-each weight block onto the blocks of its S_n orbit by a signed
-permutation, so a rank is an orbit sum: orbit size times the rank of
-the block of the nonincreasing weight.  No rank is kept between calls.
+Both are read off term tables, one per side and summand list: the degree
+enters the summands only through the sign (-1)^d, so ``TermTables``
+makes at most four per (n, field), and builds a row, its values field
+elements made once by ``field.of``, only when a block or a vector first
+reads that monomial.  As a column rule from a key to {target key:
+value} a table feeds ``exactla.apply``, which maps vectors through it.
+Ranks never need a global basis: both differentials are block diagonal
+by a Z^n weight, and each weight block is assembled straight from the
+table, its rows named by their monomial.  Permuting the generators is an
+automorphism sending g(e) to g(sigma e), and it carries each weight
+block onto the blocks of its S_n orbit by a signed permutation, so a
+rank is an orbit sum: orbit size times the rank of the block of the
+nonincreasing weight.  ``resolution_ranks`` ranks every differential a
+record builder needs once, in one pass; nothing outlives its tables.
 
 A reduced bar complex provides an independent oracle for the same
 dimensions; it never touches the small resolution's generators.  It
@@ -53,79 +57,93 @@ def chain_dim(n, m):
 # ``generator_terms``.  A term table maps each monomial a = idx to its
 # entries (h, target monomial, value): every summand of generator_terms(d,
 # h) applied to a, its sign times the signs of the products from
-# merge_signed, summed per h.  Entries of value zero are dropped, and so
-# are monomials left with none.  The chain differential on
-# A (x)_{A^e} P_m takes a (x) l.g.r to r.a.l (x) g, with the degree-m
-# summands; the cochain differential leaving degree m evaluates a cochain
-# on d of a degree-(m+1) generator, taking the value a to l.a.r.
+# merge_signed, summed per h.  Entries of value zero are dropped.  The
+# chain differential on A (x)_{A^e} P_m takes a (x) l.g.r to r.a.l (x) g,
+# with the degree-m summands; the cochain differential leaving degree m
+# evaluates a cochain on d of a degree-(m+1) generator, taking the value a
+# to l.a.r.
 
 
-def _term_table(n, m, field, chain):
-    """The term table of the degree-m chain differential (``chain``) or
-    of the cochain differential leaving degree m."""
-    d = m if chain else m + 1
-    table = {}
-    for idx in monomials(n):
+class _TermTable(dict):
+    """The term table of the summand list ``summands`` (those of
+    generator_terms(d, h) for h = 1..n) on one side: {monomial: entries},
+    each row built on its first lookup."""
+
+    def __init__(self, summands, field, chain):
+        self.summands, self.field, self.chain = summands, field, chain
+
+    def __missing__(self, idx):
         row = []
-        for h in range(1, n + 1):
+        for h, terms in enumerate(self.summands, 1):
             acc = {}
-            for sign, l, r in generator_terms(d, h):
-                before, after = (r, l) if chain else (l, r)
+            for sign, l, r in terms:
+                before, after = (r, l) if self.chain else (l, r)
                 left = merge_signed(before, idx)
                 res = left and merge_signed(left[1], after)
                 if res:
                     acc[res[1]] = acc.get(res[1], 0) + sign * left[0] * res[0]
             for t, c in acc.items():
-                v = field.of(c)
+                v = self.field.of(c)
                 if v:
                     row.append((h, t, v))
-        if row:
-            table[idx] = row
-    return table
+        self[idx] = row
+        return row
 
 
-def _column_rule(table, step):
-    """Column rule of a term table: (idx, e) goes to {(t, e + step * d_h):
-    v} over the entries (h, t, v) of idx with e_h + step >= 0."""
-    def column(key):
-        idx, e = key
-        return {(t, e[:h - 1] + (e[h - 1] + step,) + e[h:]): v
-                for h, t, v in table.get(idx, ()) if e[h - 1] + step >= 0}
-    return column
+class TermTables:
+    """The term tables of one (n, field): called with (m, chain), the
+    table of the degree-m chain differential (``chain``) or of the cochain
+    differential leaving degree m.  Each table is made on first use and
+    keyed by its side and its summand list, the generator_terms(d, h) for
+    d = m (chain) or m + 1 (cochain), so the degrees whose summands agree
+    share one table and its rows.  Nothing is kept beyond this object."""
 
+    def __init__(self, n, field):
+        check_n(n)
+        self.n, self.field, self._made = n, field, {}
 
-def chain_column(n, m, field):
-    """Column rule of the degree-m chain differential, lowering exponent
-    degree m to m - 1."""
-    return _column_rule(_term_table(n, m, field, True), -1)
+    def __call__(self, m, chain):
+        d = m if chain else m + 1
+        key = chain, tuple(generator_terms(d, h) for h in range(1, self.n + 1))
+        table = self._made.get(key)
+        if table is None:
+            table = self._made[key] = _TermTable(key[1], self.field, chain)
+        return table
 
+    def column(self, m, chain):
+        """The column rule of the table of (m, chain): (idx, e) goes to
+        {(t, e + step * d_h): v} over the entries (h, t, v) of idx with
+        e_h + step >= 0, where the chain differential lowers exponent
+        degree m by step = -1 and the cochain one raises it by 1.  It
+        builds the rows of the monomials it is applied to."""
+        table, step = self(m, chain), -1 if chain else 1
 
-def cochain_column(n, m, field):
-    """Column rule of the cochain differential raising exponent degree m
-    to m + 1."""
-    return _column_rule(_term_table(n, m, field, False), 1)
+        def column(key):
+            idx, e = key
+            return {(t, e[:h - 1] + (e[h - 1] + step,) + e[h:]): v
+                    for h, t, v in table[idx] if e[h - 1] + step >= 0}
+        return column
 
 
 # ---------------------------------------------------------------------------
 # Weight blocks.  The chain differential preserves w = 1_idx + e and the
 # cochain differential preserves v = e - 1_idx, so both matrices are block
 # diagonal by weight and their ranks are sums of block ranks.  Inside one
-# block every column has the same monomial degree; blocks of a degree
-# with no monomial in the term table are never built.
+# block every column has the same monomial degree.
 # Inside the block of w a target (t, e') has 1_t + e' = w (chain) or
 # e' - 1_t = w (cochain), so its monomial t alone names it.  No two keys
 # of a block share a monomial.
 
 
-def _block(domain, table, step, field):
+def _block(domain, table, step):
     """Matrix of one weight block, assembled from the term table: column
     c holds the entries (h, t, v) of its key (idx, e) with e_h + step >=
     0, in row t.  Rows are numbered in order of first use, so the matrix
-    is ``keyed_matrix(domain, _column_rule(table, step), field)``."""
+    is ``keyed_matrix`` of the domain and the table's column rule."""
     index = {}
     entries = []
     for c, (idx, e) in enumerate(domain):
-        for h, t, v in table.get(idx, ()):
+        for h, t, v in table[idx]:
             if e[h - 1] + step >= 0:
                 r = index.get(t)
                 if r is None:
@@ -133,7 +151,16 @@ def _block(domain, table, step, field):
                     entries.append({c: v})
                 else:
                     entries[r][c] = v
-    return SparseMatrix(len(entries), len(domain), field, entries)
+    return SparseMatrix(len(entries), len(domain), table.field, entries)
+
+
+def _degrees(table, n):
+    """The monomial degrees j whose first monomial (1, ..., j) has a
+    nonempty row.  Permuting the generators carries that row onto the row
+    of every monomial of degree j, so the blocks of the other degrees have
+    no entries and are never built; the top monomial, which every x_h
+    annihilates, is one of them."""
+    return [j for j in range(n + 1) if table[tuple(range(1, j + 1))]]
 
 
 def _shift(w, hs, d):
@@ -158,23 +185,22 @@ def _orbit(w):
     return factorial(len(w)) // prod(map(factorial, Counter(w).values()))
 
 
-def chain_blocks(n, m, field):
+def chain_blocks(tables, m):
     """Yield (domain keys, block matrix, orbit size) for the nonincreasing
-    weights w of the degree-m chain differential.  The block of
-    w = 1_S + e has the columns (S, w - 1_S), S inside supp(w) and
-    |S| = j = |w| - m; for support {1..s}, w - 1 there is a partition of
-    m + j - s."""
-    check_n(n)
+    weights w of the degree-m chain differential, read from its table in
+    ``tables``.  The block of w = 1_S + e has the columns (S, w - 1_S), S
+    inside supp(w) and |S| = j = |w| - m; for support {1..s}, w - 1 there
+    is a partition of m + j - s."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    table = _term_table(n, m, field, True)
-    for j in sorted({len(idx) for idx in table}):
+    n, table = tables.n, tables(m, True)
+    for j in _degrees(table, n):
         for s in range(max(j, 1), min(n, m + j) + 1):
             for p in _partitions(m + j - s, s, m):
                 w = tuple(x + 1 for x in p) + (0,) * (n - s)
                 domain = [(S, _shift(w, S, -1))
                           for S in combinations(range(1, s + 1), j)]
-                yield domain, _block(domain, table, -1, field), _orbit(w)
+                yield domain, _block(domain, table, -1), _orbit(w)
 
 
 def cochain_domain(n, m, v):
@@ -193,21 +219,21 @@ def cochain_domain(n, m, v):
             for S in combinations(rest, size)]
 
 
-def cochain_blocks(n, m, field):
+def cochain_blocks(tables, m):
     """Yield (domain keys, block matrix, orbit size) for the nonincreasing
-    weights v of the cochain differential leaving degree m.  The weight
-    v = e - 1_S, |v| = m - j for j = |S|, is -1 on the t generators in S
-    with e_h = 0, j - m <= t <= j: a partition of m - j + t, then t -1s."""
-    check_n(n)
+    weights v of the cochain differential leaving degree m, read from its
+    table in ``tables``.  The weight v = e - 1_S, |v| = m - j for j = |S|,
+    is -1 on the t generators in S with e_h = 0, j - m <= t <= j: a
+    partition of m - j + t, then t -1s."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    table = _term_table(n, m, field, False)
-    for j in sorted({len(idx) for idx in table}):
+    n, table = tables.n, tables(m, False)
+    for j in _degrees(table, n):
         for t in range(max(0, j - m), j + 1):
             for p in _partitions(m - j + t, n - t, m):
                 v = p + (-1,) * t
                 domain = cochain_domain(n, m, v)
-                yield domain, _block(domain, table, 1, field), _orbit(v)
+                yield domain, _block(domain, table, 1), _orbit(v)
 
 
 def cochain_weight(key):
@@ -217,39 +243,48 @@ def cochain_weight(key):
     return _shift(e, idx, -1)
 
 
-def chain_rank(n, m, field):
-    """Rank of the degree-m chain differential, as an orbit sum."""
-    return sum(orbit * rank(M) for _, M, orbit in chain_blocks(n, m, field))
+class Ranks:
+    """The ranks of ``resolution_ranks``: chain[m] of the degree-m chain
+    differential for m = 1..m_max + 1 (chain[0] = 0), and cochain[m] of
+    the cochain differential leaving degree m for m = 0..m_max."""
+
+    def __init__(self, n, chain, cochain):
+        self.n, self.chain, self.cochain = n, chain, cochain
+
+    def hh(self, m):
+        """Hochschild homology dimension in degree m (rank-nullity)."""
+        return chain_dim(self.n, m) - self.chain[m] - self.chain[m + 1]
+
+    def hhc(self, m):
+        """Hochschild cohomology dimension in degree m."""
+        rank_in = self.cochain[m - 1] if m else 0
+        return chain_dim(self.n, m) - rank_in - self.cochain[m]
 
 
-def cochain_rank(n, m, field):
-    """Rank of the cochain differential leaving degree m, as an orbit sum."""
-    return sum(orbit * rank(M) for _, M, orbit in cochain_blocks(n, m, field))
+def _orbit_sum(blocks):
+    return sum(orbit * rank(M) for _, M, orbit in blocks)
 
 
-def hh_dim_computed(n, m, field):
-    """Hochschild homology dimension from matrix ranks (rank-nullity)."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    rank_out = chain_rank(n, m, field) if m else 0
-    return chain_dim(n, m) - rank_out - chain_rank(n, m + 1, field)
+def resolution_ranks(tables, m_max):
+    """The ranks of every differential that the (co)homology in degrees
+    0..m_max needs, in one pass over the term tables ``tables``: each
+    differential is ranked once, as an orbit sum over its representative
+    blocks."""
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
+    chain = [_orbit_sum(chain_blocks(tables, m)) for m in range(1, m_max + 2)]
+    cochain = [_orbit_sum(cochain_blocks(tables, m)) for m in range(m_max + 1)]
+    return Ranks(tables.n, [0] + chain, cochain)
 
 
-def hhc_dim_computed(n, m, field):
-    """Hochschild cohomology dimension from matrix ranks."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    rank_in = cochain_rank(n, m - 1, field) if m else 0
-    return chain_dim(n, m) - rank_in - cochain_rank(n, m, field)
-
-
-def verify_d_squared_zero(n, m_max, field):
+def verify_d_squared_zero(tables, m_max):
     """Consecutive chain and cochain differentials compose to zero for
     every degree within m_max: applying both to any key gives 0."""
-    pairs = [(chain_column(n, m, field), chain_column(n, m + 1, field), m + 1)
+    n, field, column = tables.n, tables.field, tables.column
+    pairs = [(column(m, True), column(m + 1, True), m + 1)
              for m in range(1, m_max)]
-    pairs += [(cochain_column(n, m, field), cochain_column(n, m - 1, field),
-               m - 1) for m in range(1, m_max + 1)]
+    pairs += [(column(m, False), column(m - 1, False), m - 1)
+              for m in range(1, m_max + 1)]
     return not any(
         apply(outer, apply(inner, {key: field.one}, field), field)
         for outer, inner, d in pairs for key in chain_keys(n, d))

@@ -24,13 +24,12 @@ from collections import defaultdict
 from itertools import combinations, combinations_with_replacement, product
 
 from .complexes import (
-    chain_column,
+    TermTables,
     chain_dim,
     chain_keys,
-    cochain_column,
     cochain_domain,
     cochain_weight,
-    hhc_dim_computed,
+    resolution_ranks,
 )
 from .exactla import apply, rank_gain
 from .exterior import check_n, merge_signed, monomials, center_basis
@@ -79,7 +78,7 @@ def apply_differential(vec, field):
     if not vec:
         return {}
     _, e = next(iter(vec))
-    return apply(cochain_column(len(e), sum(e), field), vec, field)
+    return apply(TermTables(len(e), field).column(sum(e), False), vec, field)
 
 
 def is_cocycle(vec, field):
@@ -91,7 +90,7 @@ def _coboundary_gain(n, m, field):
     rank of the degree-m coboundaries of weight v: the images of the keys
     of the weight-v block leaving degree m - 1.  Nothing is kept between
     calls; in degree 0 every such block has no keys."""
-    column = cochain_column(n, m - 1, field)
+    column = TermTables(n, field).column(m - 1, False)
     return lambda v, vecs: rank_gain(
         [column(key) for key in cochain_domain(n, m - 1, v)], vecs, field)
 
@@ -166,15 +165,15 @@ def cohomology_basis(n, m, field):
     return out
 
 
-def verify_cohomology_basis(n, m, field, basis):
+def verify_cohomology_basis(n, m, field, basis, dim):
     """The claimed degree-m basis (the list ``cohomology_basis`` gives)
-    has the right size, consists of cocycles that each lie in one weight,
+    has the computed dimension ``dim`` as its size, consists of cocycles that each lie in one weight,
     and is independent modulo coboundaries.  Cohomology splits by weight,
     so independence is checked per weight: the vectors of one weight must
     raise the rank of that weight's coboundaries by their number."""
-    if len(basis) != hhc_dim_computed(n, m, field):
+    if len(basis) != dim:
         return False
-    column = cochain_column(n, m, field)
+    column = TermTables(n, field).column(m, False)
     groups = defaultdict(list)
     for vec in basis:
         weights = _by_weight(vec)
@@ -488,10 +487,11 @@ def evaluate_word(word, unit, gens, field):
     return acc
 
 
-def presentation_audit(n, deg_max, field):
-    """Per degree, compare the normal-form count against the cohomology
-    dimension, under both readings of the chain's starting index (from 1,
-    and the strict variant from 2), and evaluate every normal form.
+def presentation_audit(n, field, hhc):
+    """Per degree d, compare the normal-form count against the computed
+    cohomology dimension ``hhc[d]`` (``hhc`` runs over degrees 0..deg_max),
+    under both readings of the chain's starting index (from 1, and the
+    strict variant from 2), and evaluate every normal form.
 
     Evaluations must be nonzero single terms with distinct supports; that
     makes them independent classes, so a matching count means the normal
@@ -499,10 +499,9 @@ def presentation_audit(n, deg_max, field):
     """
     records = []
     unit, gens = unit_class(n, field), generators(n, field)
-    for d in range(deg_max + 1):
+    for d, expected in enumerate(hhc):
         words = presentation_normal_forms(n, d, min_index=1)
         count = len(words)
-        expected = hhc_dim_computed(n, d, field)
         keys = set()
         clean = True
         for w in words:
@@ -546,15 +545,15 @@ def char2_ring_check(n, deg_max, field):
     """
     if field.char != 2:
         raise ValueError("this check is only meaningful in characteristic 2")
-    columns = [(cochain_column(n, m, field), m) for m in range(deg_max + 1)]
-    columns += [(chain_column(n, m, field), m)
-                for m in range(1, deg_max + 2)]
+    tables = TermTables(n, field)
+    columns = [(tables.column(m, False), m) for m in range(deg_max + 1)]
+    columns += [(tables.column(m, True), m) for m in range(1, deg_max + 2)]
     diffs_vanish = not any(apply(column, {key: field.one}, field)
                            for column, m in columns
                            for key in chain_keys(n, m))
-    dims_full = all(
-        hhc_dim_computed(n, m, field) == chain_dim(n, m) for m in range(deg_max + 1)
-    )
+    ranks = resolution_ranks(tables, deg_max)
+    dims_full = all(ranks.hhc(m) == chain_dim(n, m)
+                    for m in range(deg_max + 1))
     product_ok = True
     commutative = True
     one = field.one

@@ -10,15 +10,10 @@ import sys
 import time
 
 from hhext.complexes import (
+    TermTables,
     bar_oracle_dims,
-    chain_column,
-    chain_dim,
     chain_keys,
-    chain_rank,
-    cochain_column,
-    cochain_rank,
-    hh_dim_computed,
-    hhc_dim_computed,
+    resolution_ranks,
 )
 from hhext.exactla import GF, QQ, apply, field_of_char
 from hhext.exterior import commutator_quotient_dim
@@ -69,8 +64,9 @@ def test_criterion_01_homology_dimensions():
     for char in (0, 3):
         field = field_of_char(char)
         for n in (2, 3, 4):
+            ranks = resolution_ranks(TermTables(n, field), 6)
             for m in range(7):
-                got = hh_dim_computed(n, m, field)
+                got = ranks.hh(m)
                 want = 2 ** (n - 1) + 1 if m == 0 else \
                     2 ** (n - 1) * binom(n + m - 1, n - 1)
                 ok = ok and got == want == hh_dim_formula(n, m, char)
@@ -84,8 +80,9 @@ def test_criterion_02_cohomology_dimensions():
     for char in (0, 3):
         field = field_of_char(char)
         for n in (2, 3, 4):
+            ranks = resolution_ranks(TermTables(n, field), 6)
             for m in range(7):
-                got = hhc_dim_computed(n, m, field)
+                got = ranks.hhc(m)
                 want = 2 ** (n - 1) * binom(n + m - 1, n - 1)
                 if m == 0 and n % 2 == 1:
                     want += 1
@@ -97,20 +94,22 @@ def test_criterion_02_cohomology_dimensions():
 def test_criterion_03_char2_branch():
     field = GF(2)
 
-    def vanishes(column, n, m):
+    def vanishes(n, m, chain):
+        column = TermTables(n, field).column(m, chain)
         return not any(apply(column, {key: field.one}, field)
                        for key in chain_keys(n, m))
 
     ok = True
     for n in (2, 3, 4):
         for m in range(1, 8):
-            ok = ok and vanishes(chain_column(n, m, field), n, m)
+            ok = ok and vanishes(n, m, True)
         for m in range(7):
-            ok = ok and vanishes(cochain_column(n, m, field), n, m)
+            ok = ok and vanishes(n, m, False)
+        ranks = resolution_ranks(TermTables(n, field), 6)
         for m in range(7):
             full = 2 ** n * binom(n + m - 1, n - 1)
-            ok = ok and hh_dim_computed(n, m, field) == full
-            ok = ok and hhc_dim_computed(n, m, field) == full
+            ok = ok and ranks.hh(m) == full
+            ok = ok and ranks.hhc(m) == full
     assert _report(3, "char-2 differentials vanish and dims fill the term "
                    "spaces", ok)
 
@@ -118,20 +117,21 @@ def test_criterion_03_char2_branch():
 def test_criterion_04_rank_formulas():
     ok = True
     for n in (2, 3, 4):
+        ranks = resolution_ranks(TermTables(n, QQ), 6)
+        chain, cochain = ranks.chain, ranks.cochain
         for m in range(1, 7):
-            r = chain_rank(n, m, QQ)
+            r = chain[m]
             ok = ok and r == chain_rank_double_sum(n, m)
             ok = ok and r == chain_rank_closed_form(n, m)
         for m in range(7):
-            r = cochain_rank(n, m, QQ)
+            r = cochain[m]
             ok = ok and r == cochain_rank_double_sum(n, m)
             ok = ok and r == cochain_rank_closed_form(n, m)
         # pair sums against the term-space split, on computed ranks
         for m in range(1, 7):
             half = 2 ** (n - 1) * binom(n + m - 1, n - 1)
-            ok = ok and chain_rank(n, m, QQ) + chain_rank(n, m + 1, QQ) == half
-            ok = ok and (cochain_rank(n, m - 1, QQ)
-                         + cochain_rank(n, m, QQ) == half)
+            ok = ok and chain[m] + chain[m + 1] == half
+            ok = ok and cochain[m - 1] + cochain[m] == half
     assert _report(4, "computed ranks match double-sum and closed forms, "
                    "pair sums split term spaces", ok)
 
@@ -156,10 +156,11 @@ def test_criterion_06_independent_oracle():
     for char in (0, 2):
         field = field_of_char(char)
         for n, m_max in ((2, 4), (3, 3)):
+            ranks = resolution_ranks(TermTables(n, field), m_max)
             for m, h, c in bar_oracle_dims(n, m_max, field):
-                ok = ok and h == hh_dim_computed(n, m, field)
+                ok = ok and h == ranks.hh(m)
                 ok = ok and h == hh_dim_formula(n, m, char)
-                ok = ok and c == hhc_dim_computed(n, m, field)
+                ok = ok and c == ranks.hhc(m)
                 ok = ok and c == hhc_dim_formula(n, m, char)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 300.0
@@ -193,9 +194,10 @@ def test_criterion_08_commutator_quotient():
 def test_criterion_09_cyclic_homology():
     ok = True
     for n in (2, 3, 4):
+        ranks = resolution_ranks(TermTables(n, QQ), 8)
         for m in range(1, 9):
             lhs = hc_dim_formula(n, m) + hc_dim_formula(n, m - 1)
-            ok = ok and lhs == hh_dim_computed(n, m, QQ) + 1
+            ok = ok and lhs == ranks.hh(m) + 1
     seq = [hc_dim_formula(2, m) for m in range(8)]
     ok = ok and seq == [3, 2, 5, 4, 7, 6, 9, 8]
     ok = ok and seq[:3] == [3, 2, 5] and seq[5] == 6 and seq[6] == 9
@@ -225,13 +227,19 @@ def test_criterion_11_ring_relations():
                    "associative and graded-commutative to degree 5", ok)
 
 
+def _presentation_audit(n, deg_max):
+    """presentation_audit over Q against the computed dimensions."""
+    ranks = resolution_ranks(TermTables(n, QQ), deg_max)
+    return presentation_audit(n, QQ, [ranks.hhc(d) for d in range(deg_max + 1)])
+
+
 def test_criterion_12_presentation_audit():
     ok = True
     for n in (2, 4):
-        for row in presentation_audit(n, 6, QQ):
+        for row in _presentation_audit(n, 6):
             ok = ok and row["matches"] and row["evaluations_independent"]
     # n = 3 has a genuine degree-0 shortfall: 4 normal forms vs dim 5.
-    rows = {row["degree"]: row for row in presentation_audit(3, 6, QQ)}
+    rows = {row["degree"]: row for row in _presentation_audit(3, 6)}
     ok = ok and rows[0]["count"] == 4 and rows[0]["expected"] == 5
     ok = ok and not rows[0]["matches"]
     ok = ok and all(rows[d]["matches"] for d in range(1, 7))

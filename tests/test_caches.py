@@ -1,10 +1,13 @@
 """The caches that live as long as the process.
 
 They hold the resolution's exponent vectors and generator polynomials.
-None holds a rank, a matrix, a span or a product table.  A new process-lifetime cache fails here until it is
-listed, so each one is a deliberate choice.
+None holds a rank, a matrix, a span, a term table or a product table.  A
+new process-lifetime cache fails here until it is listed, so each one is
+a deliberate choice.
 """
 
+import json
+import subprocess
 import sys
 
 import hhext.cli  # noqa: F401  (loads every hhext module)
@@ -14,6 +17,10 @@ PROCESS_CACHES = {
     "hhext.resolution.generator_polynomial",
 }
 
+# The one module-level container that may grow: the memo of GF(p), one
+# field object per prime asked for.
+GROWING_CONTAINERS = {"hhext.exactla._gf_cache"}
+
 
 def test_process_lifetime_caches_are_the_listed_two():
     modules = [mod for name, mod in sys.modules.items()
@@ -22,3 +29,49 @@ def test_process_lifetime_caches_are_the_listed_two():
              for mod in modules for fn in vars(mod).values()
              if hasattr(fn, "cache_info")}
     assert found == PROCESS_CACHES
+
+
+# Run in a fresh interpreter, so no earlier test has filled a container:
+# prints {name: size} of every dict, list and set bound in an hhext module
+# or on a class defined there, before and after one in-process dims run.
+SIZES = """
+import io, json, sys
+from contextlib import redirect_stdout
+import hhext.cli
+
+def sizes():
+    out = {}
+    for name, mod in sorted(sys.modules.items()):
+        if name != "hhext" and not name.startswith("hhext."):
+            continue
+        for attr, value in vars(mod).items():
+            holders = [(f"{name}.{attr}", value)]
+            if isinstance(value, type) and value.__module__ == name:
+                holders += [(f"{name}.{attr}.{a}", v)
+                            for a, v in vars(value).items()]
+            for key, v in holders:
+                if "__" not in key and isinstance(v, (dict, list, set)):
+                    out[key] = len(v)
+    return out
+
+before = sizes()
+with redirect_stdout(io.StringIO()):
+    code = hhext.cli.main(sys.argv[1:])
+print(json.dumps([code, before, sizes()]))
+"""
+
+
+def test_no_module_level_container_grows_in_a_run():
+    """A dims run leaves every module-level dict, list and set as large as
+    it was, apart from the listed ones: term tables, ranks and blocks live
+    only as long as the call that made them."""
+    run = subprocess.run(
+        [sys.executable, "-c", SIZES, "dims", "--n", "4", "--m-max", "3",
+         "--char", "3", "--format", "json", "--no-timestamp"],
+        capture_output=True, text=True, check=True)
+    code, before, after = json.loads(run.stdout)
+    assert code == 0
+    assert before, "no container found"
+    grown = {key for key, size in after.items()
+             if size > before.get(key, 0)}
+    assert grown == GROWING_CONTAINERS

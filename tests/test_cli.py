@@ -225,6 +225,14 @@ def test_dims_over_q_at_n8_matches_golden(tmp_path):
                                  ["dims", "--n", "8", "--m-max", "4"])
 
 
+def test_dims_over_q_at_n14_matches_golden(tmp_path):
+    """dims over Q at n = 14, m <= 3, where every term table is read on
+    only a small share of its 2^14 monomials, writes its JSON report byte
+    for byte as kept in tests/golden."""
+    assert _matches_tier1_golden(tmp_path, "dims-n14-m3-char0.json",
+                                 ["dims", "--n", "14", "--m-max", "3"])
+
+
 def test_ring_over_prime_fields_matches_golden(tmp_path):
     """ring in characteristic 2 (the product check of char2_ring_check)
     and over GF(5), cup paths that no benchmark workload takes, writes

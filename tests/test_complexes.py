@@ -19,24 +19,31 @@ from hhext.formulas import (
 )
 from hhext.complexes import (
     OracleInfeasibleError,
+    TermTables,
     bar_chain_blocks,
     bar_chain_dim,
     bar_cochain_blocks,
     bar_oracle_dims,
     chain_blocks,
-    chain_column,
     chain_dim,
-    chain_rank,
     cochain_blocks,
-    cochain_column,
     cochain_domain,
-    cochain_rank,
     cochain_weight,
-    hh_dim_computed,
-    hhc_dim_computed,
     largest_feasible_degree,
+    resolution_ranks,
     verify_d_squared_zero,
 )
+
+
+def chain_column(n, m, field):
+    """Column rule of the degree-m chain differential, on fresh tables."""
+    return TermTables(n, field).column(m, True)
+
+
+def cochain_column(n, m, field):
+    """Column rule of the cochain differential leaving degree m, on fresh
+    tables."""
+    return TermTables(n, field).column(m, False)
 
 
 def all_keys(n, m):
@@ -76,11 +83,22 @@ def reference_blocks(n, m, field, chain):
             for w, domain in groups.items()}
 
 
+def fresh(blocks):
+    """The block generator ``blocks`` as a function of (n, m, field),
+    reading fresh term tables."""
+    return lambda n, m, field: blocks(TermTables(n, field), m)
+
+
 def sides(m):
     """(chain, block generator, column rule) of each differential leaving
     degree m."""
-    return [(False, cochain_blocks, cochain_column)] + (
-        [(True, chain_blocks, chain_column)] if m else [])
+    return [(False, fresh(cochain_blocks), cochain_column)] + (
+        [(True, fresh(chain_blocks), chain_column)] if m else [])
+
+
+def ranks(n, m_max, field):
+    """The ranks of one pass at (n, field) up to m_max."""
+    return resolution_ranks(TermTables(n, field), m_max)
 
 
 def test_chain_matrix_entries():
@@ -113,15 +131,16 @@ def test_differential_preserves_grade():
 
 def test_d_squared_zero():
     for n in (2, 3):
-        assert verify_d_squared_zero(n, 4, QQ)
-        assert verify_d_squared_zero(n, 3, GF(3))
+        assert verify_d_squared_zero(TermTables(n, QQ), 4)
+        assert verify_d_squared_zero(TermTables(n, GF(3)), 3)
 
 
 def test_computed_dims_frozen():
-    assert [hh_dim_computed(2, m, QQ) for m in range(5)] == [3, 4, 6, 8, 10]
-    assert [hhc_dim_computed(2, m, QQ) for m in range(5)] == [2, 4, 6, 8, 10]
-    assert [hh_dim_computed(3, m, QQ) for m in range(4)] == [5, 12, 24, 40]
-    assert [hhc_dim_computed(3, m, QQ) for m in range(4)] == [5, 12, 24, 40]
+    r2, r3 = ranks(2, 4, QQ), ranks(3, 3, QQ)
+    assert [r2.hh(m) for m in range(5)] == [3, 4, 6, 8, 10]
+    assert [r2.hhc(m) for m in range(5)] == [2, 4, 6, 8, 10]
+    assert [r3.hh(m) for m in range(4)] == [5, 12, 24, 40]
+    assert [r3.hhc(m) for m in range(4)] == [5, 12, 24, 40]
 
 
 def test_char2_matrices_vanish():
@@ -131,14 +150,12 @@ def test_char2_matrices_vanish():
             for column, d in ((cochain_column(n, m, F), m),
                               (chain_column(n, m + 1, F), m + 1)):
                 assert keyed_matrix(all_keys(n, d), column, F).nnz() == 0
-        assert hh_dim_computed(n, 2, F) == chain_dim(n, 2)
+        assert ranks(n, 2, F).hh(2) == chain_dim(n, 2)
 
 
 def test_odd_char_matches_rationals():
-    F = GF(3)
-    for m in range(1, 4):
-        assert chain_rank(2, m, F) == chain_rank(2, m, QQ)
-        assert cochain_rank(2, m, F) == cochain_rank(2, m, QQ)
+    got, want = ranks(2, 3, GF(3)), ranks(2, 3, QQ)
+    assert got.chain == want.chain and got.cochain == want.cochain
 
 
 SIZES = ((3, 5), (4, 4), (5, 3))
@@ -193,7 +210,7 @@ def test_cochain_domain_is_the_block_domain():
     for field in (QQ, GF(3)):
         for n in range(2, 5):
             for m in range(4):
-                for domain, _, _ in cochain_blocks(n, m, field):
+                for domain, _, _ in cochain_blocks(TermTables(n, field), m):
                     v = cochain_weight(domain[0])
                     assert cochain_domain(n, m, v) == domain, (n, m, v)
                 by_weight = {}
@@ -225,37 +242,41 @@ def test_block_ranks_refine_rank_formulas():
                     assert +got == +Counter(terms), (n, m, field)
 
 
-def _unsigned_table(table):
-    """The term-table builder ``table`` with the sign (-1)^mu of inserting
-    h into idx divided out of every entry, mu counting the indices of idx
-    below h."""
-    def make(n, m, field, chain):
-        return {idx: [(h, t, field.of((-1) ** sum(i < h for i in idx) * v))
-                      for h, t, v in row]
-                for idx, row in table(n, m, field, chain).items()}
-    return make
+def _unsigned_rows(missing):
+    """The row builder ``missing`` of the term tables with the sign
+    (-1)^mu of inserting h into idx divided out of every entry, mu
+    counting the indices of idx below h."""
+    def mutant(table, idx):
+        row = [(h, t, table.field.of((-1) ** sum(i < h for i in idx) * v))
+               for h, t, v in missing(table, idx)]
+        table[idx] = row
+        return row
+    return mutant
 
 
 def test_dropped_sign_changes_block_ranks(monkeypatch):
     """Both rank engines go through the one term table: without the
     (-1)^mu insertion sign the ranks leave the formulas.  At n = 2 the
     mutant goes unnoticed, hence n = 3."""
-    assert chain_rank(3, 3, QQ) == chain_rank_double_sum(3, 3)
-    assert cochain_rank(3, 2, QQ) == cochain_rank_double_sum(3, 2)
-    monkeypatch.setattr(complexes, "_term_table",
-                        _unsigned_table(complexes._term_table))
-    assert chain_rank(3, 3, QQ) != chain_rank_double_sum(3, 3)
-    assert cochain_rank(3, 2, QQ) != cochain_rank_double_sum(3, 2)
+    got = ranks(3, 2, QQ)
+    assert got.chain[3] == chain_rank_double_sum(3, 3)
+    assert got.cochain[2] == cochain_rank_double_sum(3, 2)
+    monkeypatch.setattr(complexes._TermTable, "__missing__",
+                        _unsigned_rows(complexes._TermTable.__missing__))
+    got = ranks(3, 2, QQ)
+    assert got.chain[3] != chain_rank_double_sum(3, 3)
+    assert got.cochain[2] != cochain_rank_double_sum(3, 2)
 
 
 def test_dropped_sign_breaks_d_squared_zero(monkeypatch):
     """The d^2 = 0 check applies the column rules of the term table, so
     it fails once the (-1)^mu insertion sign is divided out."""
-    monkeypatch.setattr(complexes, "_term_table",
-                        _unsigned_table(complexes._term_table))
+    monkeypatch.setattr(complexes._TermTable, "__missing__",
+                        _unsigned_rows(complexes._TermTable.__missing__))
     for n in (2, 3):
         for field in (QQ, GF(3)):
-            assert not verify_d_squared_zero(n, 4, field), (n, field)
+            assert not verify_d_squared_zero(TermTables(n, field), 4), (
+                n, field)
 
 
 def _unsigned_terms(m, h):
@@ -281,32 +302,92 @@ def test_dropped_degree_sign_fails_resolution_and_ranks(monkeypatch,
             "oracle.hh-vs-matrix", "oracle.hhc-vs-matrix"} <= failed, failed
 
 
+def _quarter_sign_terms(m, h):
+    """generator_terms with the right sign (-1)^(m // 2) in place of
+    (-1)^m, so degrees of one parity no longer share their summands."""
+    return ((1, (h,), ()), ((-1) ** (m // 2), (), (h,)))
+
+
+def _parity_keyed(tables, m, chain):
+    """TermTables.__call__ with its tables keyed by the side and the
+    parity of the degree d of their summands."""
+    d = m if chain else m + 1
+    key = chain, d % 2
+    if key not in tables._made:
+        summands = tuple(complexes.generator_terms(d, h)
+                         for h in range(1, tables.n + 1))
+        tables._made[key] = complexes._TermTable(summands, tables.field,
+                                                 chain)
+    return tables._made[key]
+
+
+def _ranks_per_degree(n, m_max, field):
+    """(chain, cochain) ranks as ``resolution_ranks`` lists them, each
+    degree summed over the blocks of a fresh table."""
+    def orbit_sum(blocks, m):
+        return sum(orbit * rank(M)
+                   for _, M, orbit in blocks(TermTables(n, field), m))
+    return ([0] + [orbit_sum(chain_blocks, m) for m in range(1, m_max + 2)],
+            [orbit_sum(cochain_blocks, m) for m in range(m_max + 1)])
+
+
+def test_tables_are_keyed_by_summand_list(monkeypatch, tmp_path):
+    """With the right sign of generator_terms planted as (-1)^(m // 2),
+    the ranks of one pass equal those from a fresh table per degree:
+    each table is keyed by its summand list, and the planted degrees
+    move (chain m = 1, 2, 5 and cochain m = 0, 1, 4, 5 at n = 3).
+    ``verify --suite ranks`` fails ranks.chain in those degrees.  Tables
+    keyed by the parity of the degree give other ranks."""
+    true = ranks(3, 5, QQ)
+    monkeypatch.setattr(complexes, "generator_terms", _quarter_sign_terms)
+    got = ranks(3, 5, QQ)
+    want = _ranks_per_degree(3, 5, QQ)
+    assert (got.chain, got.cochain) == want
+    assert [m for m in range(7) if got.chain[m] != true.chain[m]] == [
+        1, 2, 5, 6]
+    assert [m for m in range(6) if got.cochain[m] != true.cochain[m]] == [
+        0, 1, 4, 5]
+    with monkeypatch.context() as mp:
+        mp.setattr(complexes.TermTables, "__call__", _parity_keyed)
+        parity = ranks(3, 5, QQ)
+    assert (parity.chain, parity.cochain) != want
+    out = tmp_path / "ranks.json"
+    assert cli.main(["verify", "--n", "3", "--m-max", "5", "--suite",
+                     "ranks", "--format", "json", "--no-timestamp",
+                     "--out", str(out)]) == 1
+    records = json.loads(out.read_text())["records"]
+    failed = {(r["id"], r["params"]["m"]) for r in records
+              if r["status"] == "fail" and r["id"].startswith("ranks.")
+              and r["id"] != "ranks.composite-zero"}
+    assert failed == {("ranks.chain", m) for m in (1, 2, 5)} | {
+        ("ranks.cochain", m) for m in (0, 1, 4, 5)}
+
+
 def _flip_one_sign(block, step0, key0):
     """The block assembler ``block`` with one sign flipped: in the block
     of exponent step step0 that holds key0, the first entry of key0's
     column.  The shared term table, which every block and every column
     rule reads, is left as it is."""
-    def mutant(domain, table, step, field):
-        M = block(domain, table, step, field)
+    def mutant(domain, table, step):
+        M = block(domain, table, step)
         if step == step0 and key0 in domain:
             c = domain.index(key0)
             row = next(row for row in M.entries if c in row)
-            row[c] = field.of(-row[c])
+            row[c] = M.field.of(-row[c])
         return M
     return mutant
 
 
-# Per side: the exponent step of its blocks, its rank, the closed
-# double sum, its blocks, the record that compares them, and the degree
-# and key of one planted sign at n = 4.  Each key lies in a
-# representative block whose weight has an orbit of more than one:
-# chain weight (2, 1, 1, 0), orbit 12; cochain weight (1, 0, 0, 0),
-# orbit 4.
+# Per side: the exponent step of its blocks, its closed double sum, its
+# blocks, the record that compares them, and the degree and key of one
+# planted sign at n = 4.  Each key lies in a representative block whose
+# weight has an orbit of more than one: chain weight (2, 1, 1, 0), orbit
+# 12; cochain weight (1, 0, 0, 0), orbit 4.
 PLANTED = {
-    "chain": (-1, chain_rank, chain_rank_double_sum, chain_blocks,
-              "ranks.chain", 3, ((1,), (1, 1, 1, 0))),
-    "cochain": (1, cochain_rank, cochain_rank_double_sum,
-                cochain_blocks, "ranks.cochain", 2, ((1,), (2, 0, 0, 0))),
+    "chain": (-1, chain_rank_double_sum, chain_blocks, "ranks.chain", 3,
+              ((1,), (1, 1, 1, 0))),
+    "cochain": (1, cochain_rank_double_sum, cochain_blocks, "ranks.cochain",
+                2, ((1,), (2, 0, 0, 0))),
 }
 
 
@@ -317,14 +398,15 @@ def test_planted_sign_in_a_representative_block_is_caught(
     side's rank off the double sum in the planted degree only, and
     ``verify --suite ranks`` fails there: the rank the block carries
     for its whole orbit is the rank of the block as built."""
-    step, rank_of, double_sum, blocks, record, m0, key0 = PLANTED[side]
-    assert sum(orbit > 1 for domain, _, orbit in blocks(4, m0, QQ)
-               if key0 in domain) == 1
+    step, double_sum, blocks, record, m0, key0 = PLANTED[side]
+    assert sum(orbit > 1 for domain, _, orbit
+               in blocks(TermTables(4, QQ), m0) if key0 in domain) == 1
     monkeypatch.setattr(complexes, "_block",
                         _flip_one_sign(complexes._block, step, key0))
     for field in (QQ, GF(3)):
+        got = getattr(ranks(4, 3, field), side)
         for m in range(1, 4):
-            agrees = rank_of(4, m, field) == double_sum(4, m, field.char)
+            agrees = got[m] == double_sum(4, m, field.char)
             assert agrees == (m != m0), (m, field)
     out = tmp_path / "ranks.json"
     assert cli.main(["verify", "--n", "4", "--m-max", "3", "--suite",
@@ -338,14 +420,14 @@ def test_planted_sign_in_a_representative_block_is_caught(
 
 
 def test_orbit_sums_equal_the_all_weights_sums():
-    """chain_rank and cochain_rank, which rank one block per S_n orbit,
-    equal the sum of the ranks of the blocks of every weight."""
+    """The ranks of one pass, which ranks one block per S_n orbit, equal
+    the sums of the ranks of the blocks of every weight."""
     for field in FIELDS:
         for n in range(2, 6):
+            got = ranks(n, 5, field)
             for m in range(6):
                 for chain, *_ in sides(m):
-                    rank_of = chain_rank if chain else cochain_rank
-                    assert rank_of(n, m, field) == sum(
+                    assert (got.chain if chain else got.cochain)[m] == sum(
                         rank(M) for _, M in reference_blocks(
                             n, m, field, chain).values()), (n, m, field)
 
@@ -406,13 +488,17 @@ def test_orbit_size_of_one_fails_ranks_and_dims(monkeypatch, tmp_path):
     assert {"ranks.chain", "ranks.cochain", "dims.hh"} <= failed, failed
 
 
-def test_orbit_sums_reach_n10():
-    """At n = 10 the orbit sums still equal the double sums over Q; only
-    a few hundred representative blocks are built."""
-    for m in range(4):
-        if m:
-            assert chain_rank(10, m, QQ) == chain_rank_double_sum(10, m)
-        assert cochain_rank(10, m, QQ) == cochain_rank_double_sum(10, m)
+def test_orbit_sums_reach_n16():
+    """At n = 16 the ranks of one pass up to m = 3 still equal the double
+    sums over Q, and every term table builds fewer rows than there are
+    monomials: only those that some representative block reads."""
+    tables = TermTables(16, QQ)
+    got = resolution_ranks(tables, 3)
+    assert got.chain == [0] + [chain_rank_double_sum(16, m)
+                               for m in range(1, 5)]
+    assert got.cochain == [cochain_rank_double_sum(16, m) for m in range(4)]
+    built = [len(table) for table in tables._made.values()]
+    assert len(built) == 4 and max(built) < 2 ** 16, built
 
 
 def test_bar_dims():
@@ -515,9 +601,9 @@ def test_bar_oracle_char2_n2():
 
 
 def test_bar_oracle_agrees_with_small_complex():
+    got = ranks(3, 2, QQ)
     for m, h, c in bar_oracle_dims(3, 2, QQ):
-        assert h == hh_dim_computed(3, m, QQ)
-        assert c == hhc_dim_computed(3, m, QQ)
+        assert (h, c) == (got.hh(m), got.hhc(m))
 
 
 def test_oracle_cap():
@@ -533,9 +619,9 @@ def test_chain_matrix_validation():
     """The block generators, which build every chain and cochain matrix,
     reject degrees below their range."""
     with pytest.raises(ValueError):
-        next(chain_blocks(2, 0, QQ))
+        next(chain_blocks(TermTables(2, QQ), 0))
     with pytest.raises(ValueError):
-        next(cochain_blocks(2, -1, QQ))
+        next(cochain_blocks(TermTables(2, QQ), -1))
     with pytest.raises(ValueError):
         next(bar_chain_blocks(2, 0, QQ))
     with pytest.raises(ValueError):

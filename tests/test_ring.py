@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hhext import complexes, ring
-from hhext.complexes import chain_keys, cochain_weight
+from hhext.complexes import (
+    TermTables,
+    chain_keys,
+    cochain_weight,
+    resolution_ranks,
+)
 from hhext.exactla import GF, QQ
 from hhext.exterior import merge_signed, monomials
 from hhext.resolution import exponent_vectors
@@ -96,6 +101,12 @@ def test_classes_unequal_off_coboundaries():
     assert not classes_equal(impure, {}, QQ)
 
 
+def hhc(n, m_max):
+    """The computed cohomology dimensions over Q in degrees 0..m_max."""
+    ranks = resolution_ranks(TermTables(n, QQ), m_max)
+    return [ranks.hhc(m) for m in range(m_max + 1)]
+
+
 def test_cohomology_basis_counts():
     assert [len(cohomology_basis(2, m, QQ)) for m in range(4)] == [2, 4, 6, 8]
     assert [len(cohomology_basis(3, m, QQ)) for m in range(4)] == [5, 12, 24, 40]
@@ -107,7 +118,8 @@ def test_cohomology_basis_independent():
     for n in (2, 3):
         for m in range(4):
             assert verify_cohomology_basis(n, m, QQ,
-                                           cohomology_basis(n, m, QQ))
+                                           cohomology_basis(n, m, QQ),
+                                           hhc(n, m)[m])
 
 
 def _same_weight_pair(basis):
@@ -126,14 +138,15 @@ def test_cohomology_basis_check_works_within_a_weight():
     the shifted vector has two terms, both in one weight.  A repeated
     vector fails."""
     n, m = 3, 2
+    dim = hhc(n, m)[m]
     basis = cohomology_basis(n, m, QQ)
     i, j = _same_weight_pair(basis)
     shifted = list(basis)
     shifted[i] = add(basis[i], basis[j], QQ)
-    assert verify_cohomology_basis(n, m, QQ, shifted)
+    assert verify_cohomology_basis(n, m, QQ, shifted, dim)
     repeated = list(basis)
     repeated[i] = basis[j]
-    assert not verify_cohomology_basis(n, m, QQ, repeated)
+    assert not verify_cohomology_basis(n, m, QQ, repeated, dim)
 
 
 def test_cohomology_basis_check_rejects_a_coboundary(monkeypatch):
@@ -141,35 +154,38 @@ def test_cohomology_basis_check_rejects_a_coboundary(monkeypatch):
     one weight, so only the span of that weight's coboundaries can reject
     it: the check fails, and passes once that span is emptied."""
     n, m = 3, 2
+    dim = hhc(n, m)[m]
     basis = cohomology_basis(n, m, QQ)
     cob = _coboundary(n, m, ((), (1, 0, 0)))
     assert len({cochain_weight(key) for key in cob}) == 1
     planted = [cob] + basis[1:]
-    assert not verify_cohomology_basis(n, m, QQ, planted)
+    assert not verify_cohomology_basis(n, m, QQ, planted, dim)
     monkeypatch.setattr(ring, "cochain_domain", lambda *args: [])
-    assert verify_cohomology_basis(n, m, QQ, planted)
+    assert verify_cohomology_basis(n, m, QQ, planted, dim)
 
 
 def test_cohomology_basis_check_rejects_a_mixed_weight_vector():
     """A basis vector plus another of a different weight is still a
     cocycle, but it lies in two weights, and the check returns False."""
     n, m = 3, 2
+    dim = hhc(n, m)[m]
     basis = cohomology_basis(n, m, QQ)
     mixed = [add(basis[0], basis[-1], QQ)] + basis[1:]
     assert (cochain_weight(next(iter(basis[0])))
             != cochain_weight(next(iter(basis[-1]))))
     assert is_cocycle(mixed[0], QQ)
-    assert not verify_cohomology_basis(n, m, QQ, mixed)
+    assert not verify_cohomology_basis(n, m, QQ, mixed, dim)
 
 
 def test_cohomology_basis_check_rejects_a_non_cocycle():
     """A single term of the opposite parity lies in one weight and in no
     coboundary span, so only the cocycle test can reject it."""
     n, m = 3, 2
+    dim = hhc(n, m)[m]
     basis = cohomology_basis(n, m, QQ)
     impure = cochain(n, m, QQ, {((1,), (0, 1, 1)): QQ.one})
     assert not is_cocycle(impure, QQ)
-    assert not verify_cohomology_basis(n, m, QQ, [impure] + basis[1:])
+    assert not verify_cohomology_basis(n, m, QQ, [impure] + basis[1:], dim)
 
 
 def test_coboundary_image_splits_by_weight():
@@ -469,7 +485,7 @@ def test_presentation_strict_reading_undercounts():
 
 
 def test_presentation_audit_flags_odd_n_degree_zero():
-    records = presentation_audit(3, 2, QQ)
+    records = presentation_audit(3, QQ, hhc(3, 2))
     deg0 = records[0]
     assert deg0["count"] == 4 and deg0["expected"] == 5
     assert not deg0["matches"]

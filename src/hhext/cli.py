@@ -452,6 +452,11 @@ def main(argv=None):
         parser.error("--deg-max must be >= 0")
     if getattr(args, "oracle_cap", 0) < 0:
         parser.error("--oracle-cap must be >= 0")
+    if args.out:
+        try:  # before the run, not after it; append mode keeps a file as is
+            open(args.out, "a").close()
+        except OSError as exc:
+            parser.error(f"--out: {exc}")
 
     if args.command == "dims":
         records = _dims_records(args.ns, args.m_max, char)

@@ -9,16 +9,17 @@ Both are read off term tables, one per side and summand list: the degree
 enters the summands only through the sign (-1)^d, so ``TermTables``
 makes at most four per (n, field), and builds a row, its values field
 elements made once by ``field.of``, only when a block or a vector first
-reads that monomial.  As a column rule from a key to {target key:
-value} a table feeds ``exactla.apply``, which maps vectors through it.
+reads that monomial.  As a column rule a table feeds ``exactla.apply``.
 Ranks never need a global basis: both differentials are block diagonal
-by a Z^n weight, and each weight block is assembled straight from the
-table, its rows named by their monomial.  Permuting the generators is an
-automorphism sending g(e) to g(sigma e), and it carries each weight
-block onto the blocks of its S_n orbit by a signed permutation, so a
-rank is an orbit sum: orbit size times the rank of the block of the
-nonincreasing weight.  ``resolution_ranks`` ranks every differential a
-record builder needs once, in one pass; nothing outlives its tables.
+by a Z^n weight, 1_idx + e or e - 1_idx, and each weight block is
+assembled straight from the table, its rows named by their monomial.
+Permuting the generators, an automorphism sending g(e) to g(sigma e),
+carries each weight block onto the blocks of its S_n orbit by a signed
+permutation, so a rank is an orbit sum over nonincreasing weights.  As
+e - 1_S = (e + 1_T) - 1 for T the complement of S, one enumeration
+lists the representative blocks of both sides (``weight_blocks``).
+``resolution_ranks`` ranks every differential a record builder needs
+once, in one pass; nothing outlives its tables.
 
 A reduced bar complex provides an independent oracle for the same
 dimensions; it never touches the small resolution's generators.  It
@@ -67,10 +68,11 @@ def chain_dim(n, m):
 class _TermTable(dict):
     """The term table of the summand list ``summands`` (those of
     generator_terms(d, h) for h = 1..n) on one side: {monomial: entries},
-    each row built on its first lookup."""
+    each row built on its first lookup; an entry adds ``step`` to e_h."""
 
     def __init__(self, summands, field, chain):
         self.summands, self.field, self.chain = summands, field, chain
+        self.step = -1 if chain else 1
 
     def __missing__(self, idx):
         row = []
@@ -113,10 +115,10 @@ class TermTables:
     def column(self, m, chain):
         """The column rule of the table of (m, chain): (idx, e) goes to
         {(t, e + step * d_h): v} over the entries (h, t, v) of idx with
-        e_h + step >= 0, where the chain differential lowers exponent
-        degree m by step = -1 and the cochain one raises it by 1.  It
-        builds the rows of the monomials it is applied to."""
-        table, step = self(m, chain), -1 if chain else 1
+        e_h + step >= 0, for the table's step.  It builds the rows of the
+        monomials it is applied to."""
+        table = self(m, chain)
+        step = table.step
 
         def column(key):
             idx, e = key
@@ -127,20 +129,20 @@ class TermTables:
 
 # ---------------------------------------------------------------------------
 # Weight blocks.  The chain differential preserves w = 1_idx + e and the
-# cochain differential preserves v = e - 1_idx, so both matrices are block
-# diagonal by weight and their ranks are sums of block ranks.  Inside one
-# block every column has the same monomial degree.
+# cochain differential preserves v = e - 1_idx (``key_weight``), so both
+# matrices are block diagonal by weight and their ranks are sums of block
+# ranks.  Inside one block every column has the same monomial degree.
 # Inside the block of w a target (t, e') has 1_t + e' = w (chain) or
 # e' - 1_t = w (cochain), so its monomial t alone names it.  No two keys
 # of a block share a monomial.
 
 
-def _block(domain, table, step):
+def _block(domain, table):
     """Matrix of one weight block, assembled from the term table: column
     c holds the entries (h, t, v) of its key (idx, e) with e_h + step >=
     0, in row t.  Rows are numbered in order of first use, so the matrix
     is ``keyed_matrix`` of the domain and the table's column rule."""
-    index = {}
+    index, step = {}, table.step
     entries = []
     for c, (idx, e) in enumerate(domain):
         for h, t, v in table[idx]:
@@ -163,14 +165,6 @@ def _degrees(table, n):
     return [j for j in range(n + 1) if table[tuple(range(1, j + 1))]]
 
 
-def _shift(w, hs, d):
-    """The vector w with d added at each generator in hs."""
-    out = list(w)
-    for h in hs:
-        out[h - 1] += d
-    return tuple(out)
-
-
 def _partitions(k, parts, top):
     """The nonincreasing tuples of ``parts`` integers in [0, top] with sum k."""
     if not parts:
@@ -185,62 +179,54 @@ def _orbit(w):
     return factorial(len(w)) // prod(map(factorial, Counter(w).values()))
 
 
-def chain_blocks(tables, m):
-    """Yield (domain keys, block matrix, orbit size) for the nonincreasing
-    weights w of the degree-m chain differential, read from its table in
-    ``tables``.  The block of w = 1_S + e has the columns (S, w - 1_S), S
-    inside supp(w) and |S| = j = |w| - m; for support {1..s}, w - 1 there
-    is a partition of m + j - s."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    n, table = tables.n, tables(m, True)
-    for j in _degrees(table, n):
-        for s in range(max(j, 1), min(n, m + j) + 1):
-            for p in _partitions(m + j - s, s, m):
-                w = tuple(x + 1 for x in p) + (0,) * (n - s)
-                domain = [(S, _shift(w, S, -1))
-                          for S in combinations(range(1, s + 1), j)]
-                yield domain, _block(domain, table, -1), _orbit(w)
-
-
-def cochain_domain(n, m, v):
-    """The domain keys (N + S', v + 1_(N + S')) of the weight-v block of
-    the cochain differential leaving degree m, v >= -1: N = {h : v_h =
-    -1} and S' runs over the subsets of the other generators of size
-    m - |v| - |N| (none when that is negative)."""
-    gens = range(1, n + 1)
-    minus = tuple(h for h in gens if v[h - 1] < 0)
-    size = m - sum(v) - len(minus)
-    if size < 0:
-        return []
-    rest = tuple(h for h in gens if v[h - 1] >= 0)
-    base = tuple(max(x, 0) for x in v)
-    return [(tuple(sorted(minus + S)), _shift(base, S, 1))
-            for S in combinations(rest, size)]
-
-
-def cochain_blocks(tables, m):
-    """Yield (domain keys, block matrix, orbit size) for the nonincreasing
-    weights v of the cochain differential leaving degree m, read from its
-    table in ``tables``.  The weight v = e - 1_S, |v| = m - j for j = |S|,
-    is -1 on the t generators in S with e_h = 0, j - m <= t <= j: a
-    partition of m - j + t, then t -1s."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    n, table = tables.n, tables(m, False)
-    for j in _degrees(table, n):
-        for t in range(max(0, j - m), j + 1):
-            for p in _partitions(m - j + t, n - t, m):
-                v = p + (-1,) * t
-                domain = cochain_domain(n, m, v)
-                yield domain, _block(domain, table, 1), _orbit(v)
-
-
-def cochain_weight(key):
-    """The weight v = e - 1_idx of a key (idx, e), which the cochain
-    differential keeps."""
+def key_weight(key, chain):
+    """The weight of a key (idx, e) that its differential keeps: 1_idx + e
+    for chains, e - 1_idx for cochains."""
     idx, e = key
-    return _shift(e, idx, -1)
+    w = list(e)
+    for h in idx:
+        w[h - 1] += 1 if chain else -1
+    return tuple(w)
+
+
+def weight_domain(n, m, w, chain):
+    """The keys of the weight-w block of the differential leaving degree
+    m.  On the chain side they are (T, w - 1_T), T inside supp(w) with
+    |T| = |w| - m: none when that size is negative or above |supp(w)|.
+    As e - 1_S = (e + 1_T) - 1 for T the complement of S, the cochain
+    keys (S, e) of a weight w >= -1 are the chain-side keys (T, e) of
+    w + 1 with T complemented.  Either way e is the weight of (idx, w)
+    on the other side."""
+    u = w if chain else tuple(x + 1 for x in w)
+    k = sum(u) - m
+    if k < 0:
+        return []
+    gens = set(range(1, n + 1))
+    idxs = (T if chain else tuple(sorted(gens.difference(T)))
+            for T in combinations([h for h, x in enumerate(u, 1) if x], k))
+    return [(idx, key_weight((idx, w), not chain)) for idx in idxs]
+
+
+def weight_blocks(tables, m, chain):
+    """Yield (domain keys, block matrix, orbit size) for the nonincreasing
+    weights of the degree-m chain differential (``chain``) or of the
+    cochain differential leaving degree m, read from its table in
+    ``tables``.  On the chain side a block of monomial degree k has the
+    weight 1_T + e, |T| = k; with support {1..s}, s >= k, that is 1 there
+    plus a partition of m + k - s.  By ``weight_domain`` the cochain
+    blocks of monomial degree j are these at k = n - j, less 1, and the
+    shift keeps each orbit."""
+    low = 1 if chain else 0
+    if m < low:
+        raise ValueError(f"m must be >= {low}")
+    n, table = tables.n, tables(m, chain)
+    for j in _degrees(table, n):
+        k = j if chain else n - j
+        for s in range(k, min(n, m + k) + 1):
+            for p in _partitions(m + k - s, s, m):
+                w = tuple(x + low for x in p) + (low - 1,) * (n - s)
+                domain = weight_domain(n, m, w, chain)
+                yield domain, _block(domain, table), _orbit(w)
 
 
 class Ranks:
@@ -261,8 +247,9 @@ class Ranks:
         return chain_dim(self.n, m) - rank_in - self.cochain[m]
 
 
-def _orbit_sum(blocks):
-    return sum(orbit * rank(M) for _, M, orbit in blocks)
+def _orbit_sum(tables, m, chain):
+    return sum(orbit * rank(M)
+               for _, M, orbit in weight_blocks(tables, m, chain))
 
 
 def resolution_ranks(tables, m_max):
@@ -272,8 +259,8 @@ def resolution_ranks(tables, m_max):
     blocks."""
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    chain = [_orbit_sum(chain_blocks(tables, m)) for m in range(1, m_max + 2)]
-    cochain = [_orbit_sum(cochain_blocks(tables, m)) for m in range(m_max + 1)]
+    chain = [_orbit_sum(tables, m, True) for m in range(1, m_max + 2)]
+    cochain = [_orbit_sum(tables, m, False) for m in range(m_max + 1)]
     return Ranks(tables.n, [0] + chain, cochain)
 
 
@@ -391,14 +378,6 @@ def _bar_words(n, m):
     return words
 
 
-def _chain_key(a0, w):
-    return (a0,) + w
-
-
-def _cochain_key(b, w):
-    return (w, b)
-
-
 def _bar_blocks(n, m, key, d, column, field):
     """Yield (domain keys, block matrix) for every generator-count block
     of a bar differential leaving degree m.  The key of a monomial a and
@@ -415,13 +394,15 @@ def _bar_blocks(n, m, key, d, column, field):
 def bar_chain_blocks(n, m, field):
     """Blocks of the degree-m bar chain differential: the block of the
     count vector c holds (a0,) + w for the words w with counts c - 1_a0."""
-    return _bar_blocks(n, m, _chain_key, 1, _bar_chain_rule(n, m), field)
+    return _bar_blocks(n, m, lambda a0, w: (a0,) + w, 1,
+                       _bar_chain_rule(n, m), field)
 
 
 def bar_cochain_blocks(n, m, field):
     """Blocks of the bar cochain differential leaving degree m: the block
     of v holds (w, b) for the words w with counts v + 1_b."""
-    return _bar_blocks(n, m, _cochain_key, -1, _bar_cochain_rule(n, m), field)
+    return _bar_blocks(n, m, lambda b, w: (w, b), -1,
+                       _bar_cochain_rule(n, m), field)
 
 
 def largest_feasible_degree(n, cap=DEFAULT_ORACLE_CAP):

@@ -27,9 +27,9 @@ from .complexes import (
     TermTables,
     chain_dim,
     chain_keys,
-    cochain_domain,
-    cochain_weight,
+    key_weight,
     resolution_ranks,
+    weight_domain,
 )
 from .exactla import apply, rank_gain
 from .exterior import check_n, merge_signed, monomials, center_basis
@@ -39,7 +39,8 @@ from .resolution import exponent_vectors
 
 def cochain(n, m, field, terms):
     """The degree-m cochain with the given terms, checked: n is valid, m is
-    nonnegative, and every exponent vector has n entries summing to m.
+    nonnegative, every exponent vector has n nonnegative entries summing
+    to m, and every monomial is an increasing tuple of indices in 1..n.
     Scalars are normalised by ``field.of`` and zeros dropped.  Every other
     cochain is built as a plain dict from keys already known to be valid."""
     check_n(n)
@@ -47,8 +48,11 @@ def cochain(n, m, field, terms):
         raise ValueError("cochain degree must be >= 0")
     clean = {}
     for (idx, e), c in terms.items():
-        if len(e) != n or sum(e) != m:
-            raise ValueError(f"exponent vector {e} has wrong degree for m={m}")
+        if len(e) != n or sum(e) != m or min(e) < 0:
+            raise ValueError(f"exponent vector {e} is not {n} nonnegative "
+                             f"entries summing to m={m}")
+        if list(idx) != sorted(set(idx)) or not all(0 < h <= n for h in idx):
+            raise ValueError(f"monomial {idx} is not increasing in 1..{n}")
         c = field.of(c)
         if c:
             clean[idx, e] = c
@@ -92,14 +96,14 @@ def _coboundary_gain(n, m, field):
     calls; in degree 0 every such block has no keys."""
     column = TermTables(n, field).column(m - 1, False)
     return lambda v, vecs: rank_gain(
-        [column(key) for key in cochain_domain(n, m - 1, v)], vecs, field)
+        [column(k) for k in weight_domain(n, m - 1, v, False)], vecs, field)
 
 
 def _by_weight(vec):
     """The terms split into {weight: {key: scalar}}."""
     parts = defaultdict(dict)
     for key, c in vec.items():
-        parts[cochain_weight(key)][key] = c
+        parts[key_weight(key, False)][key] = c
     return parts
 
 
@@ -345,13 +349,6 @@ def verify_ring_relations(n, field):
 # Structural checks: unit, graded commutativity, associativity.
 
 
-def _basis_terms(n, m, parity_pure):
-    """Single-term basis keys (indices, exponent) of degree m; restricted
-    to monomial degrees of parity p(m) when parity_pure."""
-    return tuple(key for key in chain_keys(n, m)
-                 if not parity_pure or same_parity(len(key[0]), m))
-
-
 def _test_cocycle(n, m, field):
     """A degree-m cocycle that is no basis class: one term per monomial of
     degree parity p(m), the k-th against exponent vector k (cyclically)
@@ -420,10 +417,13 @@ def verify_associativity(n, field, total_deg_max):
 
 
 def verify_unital(n, field, total_deg_max):
-    """The degree-0 empty-monomial class is a two-sided unit on the basis."""
+    """The degree-0 empty-monomial class is a two-sided unit on the basis
+    terms (on every single term in characteristic 2)."""
     one = unit_class(n, field)
     for m in range(total_deg_max + 1):
-        for key in _basis_terms(n, m, field.char != 2):
+        for key in chain_keys(n, m):
+            if field.char != 2 and not same_parity(len(key[0]), m):
+                continue
             v = {key: field.one}
             if cup(one, v, field) != v or cup(v, one, field) != v:
                 return False
@@ -562,7 +562,7 @@ def char2_ring_check(n, deg_max, field):
             es = exponent_vectors(n, t)
             right = [(l2, dict.fromkeys([(l2, e2) for e2 in es], one))
                      for l2 in monomials(n)]
-            for l1, e1 in _basis_terms(n, s, False):
+            for l1, e1 in chain_keys(n, s):
                 set1 = set(l1)
                 a = {(l1, e1): one}
                 sums = [tuple(map(operator.add, e1, e2)) for e2 in es]

@@ -140,6 +140,22 @@ def test_usage_errors():
     assert run_cli().returncode == 2
 
 
+@pytest.mark.parametrize("where", ("missing-directory", "directory"))
+def test_unwritable_out_is_a_usage_error_before_the_run(tmp_path, monkeypatch,
+                                                       capsys, where):
+    """An --out path that cannot be written exits 2 with a usage message
+    before any record is computed, not 1 with a traceback after the run."""
+    out = {"missing-directory": tmp_path / "missing" / "x.json",
+           "directory": tmp_path}[where]
+    monkeypatch.setattr(cli, "_dims_records", pytest.fail)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dims", "--n", "3", "--m-max", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    result = run_cli("dims", "--n", "3", "--m-max", "2", "--out", str(out))
+    assert result.returncode == 2 and "Traceback" not in result.stderr
+
+
 def test_vacuous_ring_and_oracle_inputs_rejected():
     """A negative degree bound would check nothing and report pass."""
     assert run_cli("ring", "--n", "2", "--deg-max", "-1").returncode == 2

@@ -9,6 +9,7 @@ import pytest
 
 from hhext import cli, complexes, resolution
 from hhext.exactla import GF, QQ, apply, keyed_matrix, rank
+from hhext.resolution import exponent_vectors
 from hhext.formulas import (
     chain_rank_double_sum,
     chain_rank_terms,
@@ -24,14 +25,12 @@ from hhext.complexes import (
     bar_chain_dim,
     bar_cochain_blocks,
     bar_oracle_dims,
-    chain_blocks,
     chain_dim,
-    cochain_blocks,
-    cochain_domain,
-    cochain_weight,
     largest_feasible_degree,
     resolution_ranks,
     verify_d_squared_zero,
+    weight_blocks,
+    weight_domain,
 )
 
 
@@ -83,17 +82,17 @@ def reference_blocks(n, m, field, chain):
             for w, domain in groups.items()}
 
 
-def fresh(blocks):
-    """The block generator ``blocks`` as a function of (n, m, field),
+def fresh(chain):
+    """The block generator of one side as a function of (n, m, field),
     reading fresh term tables."""
-    return lambda n, m, field: blocks(TermTables(n, field), m)
+    return lambda n, m, field: weight_blocks(TermTables(n, field), m, chain)
 
 
 def sides(m):
     """(chain, block generator, column rule) of each differential leaving
     degree m."""
-    return [(False, fresh(cochain_blocks), cochain_column)] + (
-        [(True, fresh(chain_blocks), chain_column)] if m else [])
+    return [(False, fresh(False), cochain_column)] + (
+        [(True, fresh(True), chain_column)] if m else [])
 
 
 def ranks(n, m_max, field):
@@ -203,24 +202,32 @@ def test_blocks_are_the_keyed_matrices_of_the_column_rules():
     assert built == 432
 
 
-def test_cochain_domain_is_the_block_domain():
-    """cochain_domain(n, m, v) is the domain cochain_blocks yields for
-    the representative v, in the same order, and every key, empty column
-    or not, lies in the domain of its own weight."""
+def test_weight_domain_is_the_block_domain():
+    """On both sides weight_domain(n, m, w, chain) is the domain the
+    block generator yields for the representative w, in the same order,
+    and every key, empty column or not, lies in the domain of its own
+    weight."""
     for field in (QQ, GF(3)):
         for n in range(2, 5):
             for m in range(4):
-                for domain, _, _ in cochain_blocks(TermTables(n, field), m):
-                    v = cochain_weight(domain[0])
-                    assert cochain_domain(n, m, v) == domain, (n, m, v)
-                by_weight = {}
-                for key in all_keys(n, m):
-                    by_weight.setdefault(cochain_weight(key), []).append(key)
-                for v, group in by_weight.items():
-                    assert sorted(cochain_domain(n, m, v)) == sorted(group)
-    # a negative subset size m - |v| - |N| gives an empty domain
-    assert cochain_domain(2, 0, (1, 0)) == []
-    assert cochain_domain(3, 1, (-1, 1, 1)) == []
+                for chain, blocks, _ in sides(m):
+                    for domain, _, _ in blocks(n, m, field):
+                        w = weight(domain[0], chain)
+                        assert weight_domain(n, m, w, chain) == domain, (
+                            n, m, w, chain)
+                    by_weight = {}
+                    for key in all_keys(n, m):
+                        by_weight.setdefault(weight(key, chain), []).append(key)
+                    for w, group in by_weight.items():
+                        assert sorted(weight_domain(n, m, w, chain)) == sorted(
+                            group), (n, m, w, chain)
+    # a subset size |w| - m (of w + 1 for cochains) that is negative or
+    # above the support size gives an empty domain
+    assert weight_domain(2, 0, (1, 0), False) == []
+    assert weight_domain(3, 1, (-1, 1, 1), False) == []
+    assert weight_domain(2, 1, (-1, -1), False) == []
+    assert weight_domain(2, 2, (1, 0), True) == []
+    assert weight_domain(3, 1, (3, 0, 0), True) == []
 
 
 def test_block_ranks_refine_rank_formulas():
@@ -324,11 +331,10 @@ def _parity_keyed(tables, m, chain):
 def _ranks_per_degree(n, m_max, field):
     """(chain, cochain) ranks as ``resolution_ranks`` lists them, each
     degree summed over the blocks of a fresh table."""
-    def orbit_sum(blocks, m):
-        return sum(orbit * rank(M)
-                   for _, M, orbit in blocks(TermTables(n, field), m))
-    return ([0] + [orbit_sum(chain_blocks, m) for m in range(1, m_max + 2)],
-            [orbit_sum(cochain_blocks, m) for m in range(m_max + 1)])
+    def orbit_sum(chain, m):
+        return sum(orbit * rank(M) for _, M, orbit in fresh(chain)(n, m, field))
+    return ([0] + [orbit_sum(True, m) for m in range(1, m_max + 2)],
+            [orbit_sum(False, m) for m in range(m_max + 1)])
 
 
 def test_tables_are_keyed_by_summand_list(monkeypatch, tmp_path):
@@ -365,12 +371,12 @@ def test_tables_are_keyed_by_summand_list(monkeypatch, tmp_path):
 
 def _flip_one_sign(block, step0, key0):
     """The block assembler ``block`` with one sign flipped: in the block
-    of exponent step step0 that holds key0, the first entry of key0's
-    column.  The shared term table, which every block and every column
-    rule reads, is left as it is."""
-    def mutant(domain, table, step):
-        M = block(domain, table, step)
-        if step == step0 and key0 in domain:
+    read from a table of exponent step step0 that holds key0, the first
+    entry of key0's column.  The shared term table, which every block and
+    every column rule reads, is left as it is."""
+    def mutant(domain, table):
+        M = block(domain, table)
+        if table.step == step0 and key0 in domain:
             c = domain.index(key0)
             row = next(row for row in M.entries if c in row)
             row[c] = M.field.of(-row[c])
@@ -384,9 +390,9 @@ def _flip_one_sign(block, step0, key0):
 # weight has an orbit of more than one: chain weight (2, 1, 1, 0), orbit
 # 12; cochain weight (1, 0, 0, 0), orbit 4.
 PLANTED = {
-    "chain": (-1, chain_rank_double_sum, chain_blocks, "ranks.chain", 3,
+    "chain": (-1, chain_rank_double_sum, fresh(True), "ranks.chain", 3,
               ((1,), (1, 1, 1, 0))),
-    "cochain": (1, cochain_rank_double_sum, cochain_blocks, "ranks.cochain",
+    "cochain": (1, cochain_rank_double_sum, fresh(False), "ranks.cochain",
                 2, ((1,), (2, 0, 0, 0))),
 }
 
@@ -400,7 +406,7 @@ def test_planted_sign_in_a_representative_block_is_caught(
     for its whole orbit is the rank of the block as built."""
     step, double_sum, blocks, record, m0, key0 = PLANTED[side]
     assert sum(orbit > 1 for domain, _, orbit
-               in blocks(TermTables(4, QQ), m0) if key0 in domain) == 1
+               in blocks(4, m0, QQ) if key0 in domain) == 1
     monkeypatch.setattr(complexes, "_block",
                         _flip_one_sign(complexes._block, step, key0))
     for field in (QQ, GF(3)):
@@ -471,6 +477,48 @@ def test_dropped_or_duplicated_representative_is_caught(monkeypatch, dup):
     assert all(got != want for got, want in _orbit_key_counts(3, 2, QQ))
 
 
+# The two halves of the complement identity, each as written in the
+# source of its function, and the mutant that drops it.
+COMPLEMENT = {
+    "complement-dropped": ("weight_domain",
+                           "T if chain else tuple(sorted(gens.difference(T)))",
+                           "T"),
+    "run-at-j": ("weight_blocks", "k = j if chain else n - j", "k = j"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(COMPLEMENT))
+def test_cochain_blocks_without_the_complement_are_caught(
+        monkeypatch, tmp_path, mutant):
+    """The cochain blocks with the complement of T dropped from their
+    keys, or enumerated at monomial degree j instead of n - j, take every
+    cochain rank at n = 3 off its double sum and leave the chain ranks
+    alone; ``verify --suite ranks`` fails ranks.cochain only.  Dropping
+    the complement also fails the domain test."""
+    name, text, replacement = COMPLEMENT[mutant]
+    source = inspect.getsource(getattr(complexes, name))
+    assert source.count(text) == 1
+    namespace = {}
+    exec(source.replace(text, replacement), vars(complexes), namespace)
+    monkeypatch.setattr(complexes, name, namespace[name])
+    for field in (QQ, GF(3)):
+        got = ranks(3, 3, field)
+        assert all(got.cochain[m] != cochain_rank_double_sum(3, m, field.char)
+                   for m in range(4)), field
+        assert all(got.chain[m] == chain_rank_double_sum(3, m, field.char)
+                   for m in range(1, 5)), field
+    out = tmp_path / "ranks.json"
+    assert cli.main(["verify", "--n", "3", "--m-max", "3", "--suite",
+                     "ranks", "--format", "json", "--no-timestamp",
+                     "--out", str(out)]) == 1
+    failed = {r["id"] for r in json.loads(out.read_text())["records"]
+              if r["status"] == "fail"}
+    assert failed == {"ranks.cochain"}
+    if name == "weight_domain":
+        with pytest.raises(AssertionError):
+            test_weight_domain_is_the_block_domain()
+
+
 def test_orbit_size_of_one_fails_ranks_and_dims(monkeypatch, tmp_path):
     """With the orbit size forced to 1 for every weight with a repeated
     entry, both rank records and the homology dimensions fail."""
@@ -499,6 +547,63 @@ def test_orbit_sums_reach_n16():
     assert got.cochain == [cochain_rank_double_sum(16, m) for m in range(4)]
     built = [len(table) for table in tables._made.values()]
     assert len(built) == 4 and max(built) < 2 ** 16, built
+
+
+# What the bar oracle must never name: anything bound from
+# hhext.resolution, and the resolution side's tables, blocks and orbits.
+RESOLUTION_SIDE = {"TermTables", "_TermTable", "_block", "_degrees", "_orbit",
+                   "_partitions", "weight_blocks", "weight_domain",
+                   "key_weight"}
+BAR_ORACLE = ("_bar_", "bar_", "largest_feasible_degree", "bar_oracle_dims")
+
+
+def _resolution_names(namespace):
+    """(found, reached): the resolution-side names that the bar-oracle
+    functions of the module namespace ``namespace`` name, and the
+    functions walked.  The walk reads the names of each code object and
+    of the code objects nested in it, and goes on into every function of
+    the same module that it names."""
+    module = namespace["__name__"]
+    banned = RESOLUTION_SIDE | {
+        name for name, obj in namespace.items()
+        if obj is resolution
+        or getattr(obj, "__module__", None) == resolution.__name__}
+    reached = {name for name, obj in namespace.items()
+               if name.startswith(BAR_ORACLE) and inspect.isfunction(obj)}
+    todo, found = [namespace[name].__code__ for name in reached], set()
+    while todo:
+        code = todo.pop()
+        todo += [c for c in code.co_consts if inspect.iscode(c)]
+        for name in code.co_names:
+            found |= {name} & banned
+            obj = namespace.get(name)
+            if (inspect.isfunction(obj) and obj.__module__ == module
+                    and name not in reached):
+                reached.add(name)
+                todo.append(obj.__code__)
+    return found, reached
+
+
+def _planted_bar_words(n, m):
+    """A bar word list that borrows the resolution's exponent vectors,
+    from a nested function."""
+    def words():
+        return exponent_vectors(n, m)
+    return {(0,) * n: words()}
+
+
+def test_bar_oracle_names_nothing_of_the_resolution(monkeypatch):
+    """No bar-oracle function, nor anything of hhext.complexes it calls,
+    names a resolution-side object; a planted ``_bar_words`` that calls
+    exponent_vectors inside a nested function is flagged."""
+    found, reached = _resolution_names(vars(complexes))
+    assert found == set(), found
+    assert {"_bar_products", "_bar_chain_rule", "_bar_cochain_rule",
+            "_bar_words", "_bar_blocks", "_shift_counts", "bar_chain_blocks",
+            "bar_cochain_blocks", "largest_feasible_degree",
+            "bar_oracle_dims"} <= reached, reached
+    monkeypatch.setattr(complexes, "_bar_words", _planted_bar_words)
+    assert _resolution_names(vars(complexes))[0] == {"exponent_vectors"}
 
 
 def test_bar_dims():
@@ -619,9 +724,9 @@ def test_chain_matrix_validation():
     """The block generators, which build every chain and cochain matrix,
     reject degrees below their range."""
     with pytest.raises(ValueError):
-        next(chain_blocks(TermTables(2, QQ), 0))
+        next(weight_blocks(TermTables(2, QQ), 0, True))
     with pytest.raises(ValueError):
-        next(cochain_blocks(TermTables(2, QQ), -1))
+        next(weight_blocks(TermTables(2, QQ), -1, False))
     with pytest.raises(ValueError):
         next(bar_chain_blocks(2, 0, QQ))
     with pytest.raises(ValueError):

@@ -11,8 +11,7 @@ from hhext.complexes import (
     TermTables,
     bar_chain_blocks,
     bar_cochain_blocks,
-    chain_blocks,
-    cochain_blocks,
+    weight_blocks,
 )
 from hhext.exactla import (
     GF,
@@ -320,11 +319,11 @@ def test_rank_matches_reference_on_differential_blocks(field):
     """rank equals the dense reference on every weight block of the bar
     complex at n = 2 and of the resolution complexes at n = 4, m <= 3:
     the matrices every layer ranks, with their cancellations and ties."""
-    def fresh(blocks):
-        return lambda n, m, field: blocks(TermTables(n, field), m)
+    def fresh(chain):
+        return lambda n, m, field: weight_blocks(TermTables(n, field), m, chain)
     count = 0
     for n, chain, cochain in ((2, bar_chain_blocks, bar_cochain_blocks),
-                              (4, fresh(chain_blocks), fresh(cochain_blocks))):
+                              (4, fresh(True), fresh(False))):
         # a chain differential leaves degree m >= 1, a cochain one m >= 0
         for blocks, m_min in ((chain, 1), (cochain, 0)):
             for m in range(m_min, 4):

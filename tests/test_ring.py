@@ -10,7 +10,7 @@ from hhext import complexes, ring
 from hhext.complexes import (
     TermTables,
     chain_keys,
-    cochain_weight,
+    key_weight,
     resolution_ranks,
 )
 from hhext.exactla import GF, QQ
@@ -126,7 +126,7 @@ def _same_weight_pair(basis):
     """Indices i < j of two basis vectors of the same weight."""
     seen = {}
     for j, vec in enumerate(basis):
-        v = cochain_weight(next(iter(vec)))
+        v = key_weight(next(iter(vec)), False)
         if v in seen:
             return seen[v], j
         seen[v] = j
@@ -157,10 +157,10 @@ def test_cohomology_basis_check_rejects_a_coboundary(monkeypatch):
     dim = hhc(n, m)[m]
     basis = cohomology_basis(n, m, QQ)
     cob = _coboundary(n, m, ((), (1, 0, 0)))
-    assert len({cochain_weight(key) for key in cob}) == 1
+    assert len({key_weight(key, False) for key in cob}) == 1
     planted = [cob] + basis[1:]
     assert not verify_cohomology_basis(n, m, QQ, planted, dim)
-    monkeypatch.setattr(ring, "cochain_domain", lambda *args: [])
+    monkeypatch.setattr(ring, "weight_domain", lambda *args: [])
     assert verify_cohomology_basis(n, m, QQ, planted, dim)
 
 
@@ -171,8 +171,8 @@ def test_cohomology_basis_check_rejects_a_mixed_weight_vector():
     dim = hhc(n, m)[m]
     basis = cohomology_basis(n, m, QQ)
     mixed = [add(basis[0], basis[-1], QQ)] + basis[1:]
-    assert (cochain_weight(next(iter(basis[0])))
-            != cochain_weight(next(iter(basis[-1]))))
+    assert (key_weight(next(iter(basis[0])), False)
+            != key_weight(next(iter(basis[-1])), False))
     assert is_cocycle(mixed[0], QQ)
     assert not verify_cohomology_basis(n, m, QQ, mixed, dim)
 
@@ -194,8 +194,8 @@ def test_coboundary_image_splits_by_weight():
     n, m = 3, 2
     a = _coboundary(n, m, ((), (1, 0, 0)))
     b = _coboundary(n, m, ((), (0, 0, 1)))
-    wa = {cochain_weight(key) for key in a}
-    wb = {cochain_weight(key) for key in b}
+    wa = {key_weight(key, False) for key in a}
+    wb = {key_weight(key, False) for key in b}
     assert len(wa) == len(wb) == 1 and wa != wb
     assert in_coboundary_image(add(a, b, QQ), QQ)
     c = cohomology_basis(n, m, QQ)[0]
@@ -218,12 +218,19 @@ def test_generator_validation():
 
 
 def test_cochain_validation():
-    """The validating constructor rejects n < 2, a negative degree, and
-    an exponent vector of the wrong length or degree; it drops scalars
-    that are zero in the field."""
+    """The validating constructor rejects n < 2, a negative degree, an
+    exponent vector of the wrong length or degree or with a negative
+    entry, and a monomial with unsorted, repeated or out-of-range
+    indices (an index above n would crash classes_equal later); it drops
+    scalars that are zero in the field."""
     for n, m, terms in ((1, 0, {((), (0,)): 1}), (2, -1, {}),
                         (2, 1, {((1,), (1,)): 1}),
-                        (2, 1, {((1,), (1, 1)): 1})):
+                        (2, 1, {((1,), (1, 1)): 1}),
+                        (2, 1, {((1,), (2, -1)): 1}),
+                        (2, 1, {((2, 1), (1, 0)): 1}),
+                        (2, 1, {((1, 1), (1, 0)): 1}),
+                        (2, 1, {((3,), (1, 0)): 1}),
+                        (2, 1, {((0,), (1, 0)): 1})):
         with pytest.raises(ValueError):
             cochain(n, m, QQ, terms)
     keep = ((), (0, 1))

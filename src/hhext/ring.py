@@ -15,6 +15,12 @@ by checking each such term against the coboundaries of its weight.
 Questions about coboundaries split by the Z^n weight v = e - 1_idx,
 which the cochain differential keeps, and each is answered in the
 weight blocks it touches.
+
+The generators are single terms, one per letter (degree, index pair).
+The relations are the table ``RELATIONS``; each instance is a sum of
+two-letter words with integer coefficients, an element of the free
+algebra on the letters, which holds when its cup evaluation is the zero
+class.  Presentation normal forms are words on the same letters.
 """
 
 from __future__ import annotations
@@ -193,156 +199,106 @@ def verify_cohomology_basis(n, m, field, basis, dim):
 # Generators and their relations.
 
 
-def _delta_e(n, *hs):
-    e = [0] * n
-    for h in hs:
-        e[h - 1] += 1
-    return tuple(e)
-
-
-def deg0_generator(n, field, i, j):
-    """Degree-0 class of the quadratic central monomial x_i x_j, i < j."""
-    if not 1 <= i < j <= n:
-        raise ValueError("need 1 <= i < j <= n")
-    return cochain(n, 0, field, {((i, j), (0,) * n): field.one})
-
-
-def deg1_generator(n, field, p, q):
-    """Degree-1 class: generator p against the first power of exponent q."""
-    if not (1 <= p <= n and 1 <= q <= n):
-        raise ValueError("indices out of range")
-    return cochain(n, 1, field, {((p,), _delta_e(n, q)): field.one})
-
-
-def deg2_generator(n, field, s, t):
-    """Degree-2 class with exponent vector supported on s and t, s <= t."""
-    if not 1 <= s <= t <= n:
-        raise ValueError("need 1 <= s <= t <= n")
-    return cochain(n, 2, field, {((), _delta_e(n, s, t)): field.one})
+def _letter_keys(n):
+    """The sorted index pairs of the letters by degree: (i, j) with i < j
+    in degree 0, every (p, q) in degree 1, (s, t) with s <= t in degree 2."""
+    rng = range(1, n + 1)
+    return (tuple(combinations(rng, 2)), tuple(product(rng, repeat=2)),
+            tuple(combinations_with_replacement(rng, 2)))
 
 
 def generators(n, field):
-    """Every generator once, in three dicts by degree, keyed by (i, j)
-    with i < j, by (p, q) and by (s, t) with s <= t; cup never changes them."""
-    rng = range(1, n + 1)
-    return ({k: deg0_generator(n, field, *k) for k in combinations(rng, 2)},
-            {k: deg1_generator(n, field, *k) for k in product(rng, repeat=2)},
-            {k: deg2_generator(n, field, *k)
-             for k in combinations_with_replacement(rng, 2)})
+    """Every generator once, in three dicts by degree keyed by its letter's
+    index pair: x_i x_j in degree 0, x_p against exponent q in degree 1,
+    the empty monomial against s, t in degree 2.  cup never changes them."""
+    def letter(m, idx, *hs):
+        e = tuple(map(hs.count, range(1, n + 1)))
+        return cochain(n, m, field, {(idx, e): field.one})
+    k0, k1, k2 = _letter_keys(n)
+    return ({(i, j): letter(0, (i, j)) for i, j in k0},
+            {(p, q): letter(1, (p,), q) for p, q in k1},
+            {(s, t): letter(2, (), s, t) for s, t in k2})
 
 
-def relation_instances(n, field):
-    """Yield (family id, instance indices, lhs, rhs) for every instance of
-    the generator relations in range.  rhs None means the product must be
-    the zero class.
-
-    Families are grouped by the degrees multiplied: deg00.* are products
-    of two degree-0 generators, deg01.* a degree-0 by a degree-1, and so
-    on.  Commutation families come first in each group, then the
-    vanishing and rewriting families.
-    """
-    check_n(n)
-    rng = range(1, n + 1)
-    U, V, W = generators(n, field)
-    mul = lambda x, y: cup(x, y, field)
-    neg = lambda x: add({}, x, field, -1)
-
-    for i, j in combinations(rng, 2):
-        for s, t in combinations(rng, 2):
-            yield "deg00.1", (i, j, s, t), mul(U[i, j], U[s, t]), mul(U[s, t], U[i, j])
-            if {i, j} & {s, t}:
-                yield "deg00.2", (i, j, s, t), mul(U[i, j], U[s, t]), None
-    for a, b, c, d in combinations(rng, 4):
-        # patterns of two interleaved index pairs, in each relative order
-        i, s, j, t = a, b, c, d
-        yield "deg00.3", (i, j, s, t), mul(U[i, j], U[s, t]), neg(mul(U[i, s], U[j, t]))
-        i, s, t, j = a, b, c, d
-        yield "deg00.4", (i, j, s, t), mul(U[i, j], U[s, t]), mul(U[i, s], U[t, j])
-        s, i, t, j = a, b, c, d
-        yield "deg00.5", (i, j, s, t), mul(U[i, j], U[s, t]), neg(mul(U[s, i], U[t, j]))
-        s, i, j, t = a, b, c, d
-        yield "deg00.6", (i, j, s, t), mul(U[i, j], U[s, t]), mul(U[s, i], U[j, t])
-
-    for i, j in combinations(rng, 2):
-        for s in rng:
-            for t in rng:
-                yield "deg01.1", (i, j, s, t), mul(U[i, j], V[s, t]), mul(V[s, t], U[i, j])
-                if s in (i, j):
-                    yield "deg01.2", (i, j, s, t), mul(U[i, j], V[s, t]), None
-    for a, b, c in combinations(rng, 3):
-        for t in rng:
-            s, i, j = a, b, c
-            yield "deg01.3", (i, j, s, t), mul(U[i, j], V[s, t]), mul(U[s, i], V[j, t])
-            i, s, j = a, b, c
-            yield "deg01.4", (i, j, s, t), mul(U[i, j], V[s, t]), neg(mul(U[i, s], V[j, t]))
-
-    for i, j in combinations(rng, 2):
-        for s, t in combinations_with_replacement(rng, 2):
-            yield "deg02.1", (i, j, s, t), mul(U[i, j], W[s, t]), mul(W[s, t], U[i, j])
-
-    for i in rng:
-        for j in rng:
-            for t in rng:
-                yield "deg11.1", (i, j, i, t), mul(V[i, j], V[i, t]), None
-    for i, s in combinations(rng, 2):
-        for j in rng:
-            for t in rng:
-                if j <= t:
-                    yield "deg11.2", (i, j, s, t), mul(V[i, j], V[s, t]), mul(U[i, s], W[j, t])
-                if t <= j:
-                    yield "deg11.3", (i, j, s, t), mul(V[i, j], V[s, t]), mul(U[i, s], W[t, j])
-                if j <= t:
-                    yield "deg11.4", (s, j, i, t), mul(V[s, j], V[i, t]), neg(mul(U[i, s], W[j, t]))
-                if t <= j:
-                    yield "deg11.5", (s, j, i, t), mul(V[s, j], V[i, t]), neg(mul(U[i, s], W[t, j]))
-
-    for i in rng:
-        for j in rng:
-            for s, t in combinations_with_replacement(rng, 2):
-                yield "deg12.1", (i, j, s, t), mul(V[i, j], W[s, t]), mul(W[s, t], V[i, j])
-                if s < j <= t:
-                    yield "deg12.2", (i, j, s, t), mul(V[i, j], W[s, t]), mul(V[i, s], W[j, t])
-                if s < t <= j:
-                    yield "deg12.3", (i, j, s, t), mul(V[i, j], W[s, t]), mul(V[i, s], W[t, j])
-
-    for i, j in combinations_with_replacement(rng, 2):
-        for s, t in combinations_with_replacement(rng, 2):
-            yield "deg22.1", (i, j, s, t), mul(W[i, j], W[s, t]), mul(W[s, t], W[i, j])
-            if i <= s <= j <= t:
-                yield "deg22.2", (i, j, s, t), mul(W[i, j], W[s, t]), mul(W[i, s], W[j, t])
-            if i <= s <= t <= j:
-                yield "deg22.3", (i, j, s, t), mul(W[i, j], W[s, t]), mul(W[i, s], W[t, j])
-            if s <= i <= t <= j:
-                yield "deg22.4", (i, j, s, t), mul(W[i, j], W[s, t]), mul(W[s, i], W[t, j])
-            if s <= i <= j <= t:
-                yield "deg22.5", (i, j, s, t), mul(W[i, j], W[s, t]), mul(W[s, i], W[j, t])
-
-
-RELATION_FAMILIES = (
-    "deg00.1", "deg00.2", "deg00.3", "deg00.4", "deg00.5", "deg00.6",
-    "deg01.1", "deg01.2", "deg01.3", "deg01.4",
-    "deg02.1",
-    "deg11.1", "deg11.2", "deg11.3", "deg11.4", "deg11.5",
-    "deg12.1", "deg12.2", "deg12.3",
-    "deg22.1", "deg22.2", "deg22.3", "deg22.4", "deg22.5",
+# The relations, one row per family: (id, test, right side).  Family
+# degXY.k relates the word X_ij Y_st, a degree-X letter then a degree-Y
+# letter, for every such pair of letters whose indices pass the test
+# (None: every pair).  The right side is None (zero) or a sign times two
+# letters, each a degree and the names of its two indices among i, j, s,
+# t.  In each degree pair the commutation family comes first.
+RELATIONS = (
+    ("deg00.1", None, (1, "0st", "0ij")),
+    ("deg00.2", lambda i, j, s, t: {i, j} & {s, t}, None),
+    ("deg00.3", lambda i, j, s, t: i < s < j < t, (-1, "0is", "0jt")),
+    ("deg00.4", lambda i, j, s, t: i < s < t < j, (1, "0is", "0tj")),
+    ("deg00.5", lambda i, j, s, t: s < i < t < j, (-1, "0si", "0tj")),
+    ("deg00.6", lambda i, j, s, t: s < i < j < t, (1, "0si", "0jt")),
+    ("deg01.1", None, (1, "1st", "0ij")),
+    ("deg01.2", lambda i, j, s, t: s in (i, j), None),
+    ("deg01.3", lambda i, j, s, t: s < i < j, (1, "0si", "1jt")),
+    ("deg01.4", lambda i, j, s, t: i < s < j, (-1, "0is", "1jt")),
+    ("deg02.1", None, (1, "2st", "0ij")),
+    ("deg11.1", lambda i, j, s, t: i == s, None),
+    ("deg11.2", lambda i, j, s, t: i < s and j <= t, (1, "0is", "2jt")),
+    ("deg11.3", lambda i, j, s, t: i < s and t <= j, (1, "0is", "2tj")),
+    ("deg11.4", lambda i, j, s, t: s < i and j <= t, (-1, "0si", "2jt")),
+    ("deg11.5", lambda i, j, s, t: s < i and t <= j, (-1, "0si", "2tj")),
+    ("deg12.1", None, (1, "2st", "1ij")),
+    ("deg12.2", lambda i, j, s, t: s < j <= t, (1, "1is", "2jt")),
+    ("deg12.3", lambda i, j, s, t: s < t <= j, (1, "1is", "2tj")),
+    ("deg22.1", None, (1, "2st", "2ij")),
+    ("deg22.2", lambda i, j, s, t: i <= s <= j <= t, (1, "2is", "2jt")),
+    ("deg22.3", lambda i, j, s, t: i <= s <= t <= j, (1, "2is", "2tj")),
+    ("deg22.4", lambda i, j, s, t: s <= i <= t <= j, (1, "2si", "2tj")),
+    ("deg22.5", lambda i, j, s, t: s <= i <= j <= t, (1, "2si", "2jt")),
 )
+
+RELATION_FAMILIES = tuple(row[0] for row in RELATIONS)
+
+
+def relation_instances(n):
+    """Yield (family id, (i, j, s, t), element) for every instance, family
+    by family, each in lexicographic order of (i, j, s, t).  The element,
+    left word minus right side, lies in the free algebra on the letters:
+    {word: int} with no zero, a word being two letters (degree, index
+    pair).  It is empty, and still an instance, where both sides agree."""
+    check_n(n)
+    keys = _letter_keys(n)
+    for fid, test, right in RELATIONS:
+        x, y = int(fid[3]), int(fid[4])
+        if right:  # each letter as its degree and two places in (i, j, s, t)
+            sign, *letters = right
+            (d1, p1, q1), (d2, p2, q2) = [
+                (int(h), *map("ijst".index, pq)) for h, *pq in letters]
+        for (i, j), (s, t) in product(keys[x], keys[y]):
+            if test and not test(i, j, s, t):
+                continue
+            v = (i, j, s, t)
+            element = {((x, (i, j)), (y, (s, t))): 1}
+            if right:
+                word = ((d1, (v[p1], v[q1])), (d2, (v[p2], v[q2])))
+                c = element.pop(word, 0) - sign
+                if c:
+                    element[word] = c
+            yield fid, v, element
 
 
 def verify_ring_relations(n, field):
-    """Check every relation instance as an equality of cohomology classes.
-
-    Returns a list of per-family records {family, instances, failures}
-    with failures listing the offending index tuples (empty when all
-    instances hold).
-    """
-    stats = {fid: {"family": fid, "instances": 0, "failures": []} for fid in RELATION_FAMILIES}
-    for fid, inst, lhs, rhs in relation_instances(n, field):
-        rec = stats[fid]
-        rec["instances"] += 1
-        ok = classes_equal(lhs, {} if rhs is None else rhs, field)
-        if not ok:
-            rec["failures"].append(inst)
-    return [stats[fid] for fid in RELATION_FAMILIES]
+    """Per family {family, instances, failures}: every instance's element,
+    each word the cup product of its letters from ``generators``, must be
+    the zero class; failures lists the index tuples of those that are not."""
+    gens = generators(n, field)
+    stats = {fid: {"family": fid, "instances": 0, "failures": []}
+             for fid in RELATION_FAMILIES}
+    for fid, inst, element in relation_instances(n):
+        value = {}
+        for ((x, k), (y, l)), c in element.items():
+            prod = cup(gens[x][k], gens[y][l], field)
+            value = add(value, prod, field, c) if value or c != 1 else prod
+        stats[fid]["instances"] += 1
+        if not classes_equal(value, {}, field):
+            stats[fid]["failures"].append(inst)
+    return list(stats.values())
 
 
 # ---------------------------------------------------------------------------
@@ -454,16 +410,12 @@ def presentation_normal_forms(n, degree, min_index=1):
     for size in range(odd, len(pool) + 1, 2):
         for chain in combinations(pool, size):
             for jvec in combinations_with_replacement(range(1, n + 1), degree):
-                letters = []
-                pairs = size // 2
-                for p in range(pairs):
-                    letters.append((0, (chain[2 * p], chain[2 * p + 1])))
-                rest = jvec
+                letters = [(0, chain[p:p + 2])
+                           for p in range(0, size - odd, 2)]
                 if odd:
                     letters.append((1, (chain[-1], jvec[0])))
-                    rest = jvec[1:]
-                for p in range(len(rest) // 2):
-                    letters.append((2, (rest[2 * p], rest[2 * p + 1])))
+                rest = jvec[odd:]
+                letters += [(2, rest[p:p + 2]) for p in range(0, len(rest), 2)]
                 out.append(tuple(letters))
     return out
 
@@ -479,10 +431,14 @@ def presentation_count(n, degree, min_index=1):
 
 
 def evaluate_word(word, unit, gens, field):
-    """Cup product of the word's letters, left to right, from ``unit``;
-    ``gens`` are the three dicts of ``generators``."""
-    acc = unit
-    for d, k in word:
+    """Cup product of the word's letters, left to right, from its first;
+    ``unit`` for the empty word.  ``gens`` are the three dicts of
+    ``generators``."""
+    if not word:
+        return unit
+    (d, k), *rest = word
+    acc = gens[d][k]
+    for d, k in rest:
         acc = cup(acc, gens[d][k], field)
     return acc
 
@@ -514,16 +470,10 @@ def presentation_audit(n, field, hhc):
             keys.add(key)
         if count != presentation_count(n, d, min_index=1):
             clean = False
-        records.append(
-            {
-                "degree": d,
-                "count": count,
-                "strict_count": presentation_count(n, d, min_index=2),
-                "expected": expected,
-                "matches": count == expected,
-                "evaluations_independent": clean,
-            }
-        )
+        records.append({
+            "degree": d, "count": count,
+            "strict_count": presentation_count(n, d, min_index=2),
+            "expected": expected, "evaluations_independent": clean})
     return records
 
 

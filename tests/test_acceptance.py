@@ -237,12 +237,13 @@ def test_criterion_12_presentation_audit():
     ok = True
     for n in (2, 4):
         for row in _presentation_audit(n, 6):
-            ok = ok and row["matches"] and row["evaluations_independent"]
+            ok = (ok and row["count"] == row["expected"]
+                  and row["evaluations_independent"])
     # n = 3 has a genuine degree-0 shortfall: 4 normal forms vs dim 5.
     rows = {row["degree"]: row for row in _presentation_audit(3, 6)}
     ok = ok and rows[0]["count"] == 4 and rows[0]["expected"] == 5
-    ok = ok and not rows[0]["matches"]
-    ok = ok and all(rows[d]["matches"] for d in range(1, 7))
+    ok = ok and all(rows[d]["count"] == rows[d]["expected"]
+                    for d in range(1, 7))
     ok = ok and all(rows[d]["evaluations_independent"] for d in range(7))
     r = run_cli("ring", "--n", "3", "--deg-max", "2", "--format", "json",
                 "--no-timestamp")

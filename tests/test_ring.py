@@ -1,12 +1,15 @@
 """Cup product ring: classes, relations, presentation, characteristic 2."""
 
+import json
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hhext import complexes, ring
+from hhext import cli, complexes, ring
 from hhext.complexes import (
     TermTables,
     chain_keys,
@@ -24,9 +27,6 @@ from hhext.ring import (
     cochain,
     cohomology_basis,
     cup,
-    deg0_generator,
-    deg1_generator,
-    deg2_generator,
     evaluate_word,
     generators,
     in_coboundary_image,
@@ -34,6 +34,7 @@ from hhext.ring import (
     presentation_audit,
     presentation_count,
     presentation_normal_forms,
+    relation_instances,
     unit_class,
     verify_associativity,
     verify_cohomology_basis,
@@ -44,8 +45,8 @@ from hhext.ring import (
 
 
 def test_cup_single_terms():
-    a = deg1_generator(2, QQ, 1, 1)
-    b = deg1_generator(2, QQ, 2, 1)
+    V = generators(2, QQ)[1]
+    a, b = V[1, 1], V[2, 1]
     prod = cup(a, b, QQ)
     assert prod == {((1, 2), (2, 0)): QQ.one}
     # swapping the monomials flips the sign
@@ -56,14 +57,14 @@ def test_cup_single_terms():
 
 def test_unit_class():
     one = unit_class(3, QQ)
-    g = deg2_generator(3, QQ, 1, 3)
+    g = generators(3, QQ)[2][1, 3]
     assert cup(one, g, QQ) == g and cup(g, one, QQ) == g
     assert verify_unital(2, QQ, 3)
 
 
 def test_cocycle_detection():
     """Parity-pure terms are cocycles; a lone impure term is not."""
-    assert is_cocycle(deg1_generator(2, QQ, 1, 2), QQ)
+    assert is_cocycle(generators(2, QQ)[1][1, 2], QQ)
     impure = cochain(2, 1, QQ, {((), (1, 0)): QQ.one})
     assert not is_cocycle(impure, QQ)
 
@@ -78,7 +79,7 @@ def _coboundary(n, m, key, field=QQ):
 def test_classes_equal_modulo_coboundary():
     """A class shifted by a coboundary equals the class: the shift is the
     opposite-parity part of the shifted cocycle, and it is a coboundary."""
-    v = deg1_generator(2, QQ, 1, 1)
+    v = generators(2, QQ)[1][1, 1]
     cob = _coboundary(2, 1, ((1,), (0, 0)))
     shifted = add(v, cob, QQ)
     assert shifted != v
@@ -89,8 +90,8 @@ def test_classes_equal_modulo_coboundary():
 def test_classes_unequal_off_coboundaries():
     """Two cochains are unequal classes when their difference is a cocycle
     but no coboundary, and when it is no cocycle at all."""
-    v = deg1_generator(2, QQ, 1, 1)
-    w = deg1_generator(2, QQ, 2, 1)
+    V = generators(2, QQ)[1]
+    v, w = V[1, 1], V[2, 1]
     assert is_cocycle(add(w, v, QQ, -1), QQ) and not classes_equal(v, w, QQ)
     # the same difference, with a coboundary added on top
     cob = _coboundary(2, 1, ((1,), (0, 0)))
@@ -208,15 +209,6 @@ def test_degree_zero_basis_is_center():
     assert keys == [(), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
 
 
-def test_generator_validation():
-    with pytest.raises(ValueError):
-        deg0_generator(3, QQ, 2, 2)
-    with pytest.raises(ValueError):
-        deg2_generator(3, QQ, 3, 1)
-    with pytest.raises(ValueError):
-        deg1_generator(3, QQ, 0, 1)
-
-
 def test_cochain_validation():
     """The validating constructor rejects n < 2, a negative degree, an
     exponent vector of the wrong length or degree or with a negative
@@ -255,35 +247,123 @@ def test_relation_instance_counts_n2():
     assert by_id["deg11.1"] == 8
 
 
-@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF3"])
-def test_relation_record_fails_under_a_flipped_right_hand_side(monkeypatch,
-                                                               field):
-    """With the sign of the deg11.2 right-hand side flipped, every deg11.2
-    instance at n = 3 fails and no other family does.  Each flipped
-    instance leaves a nonzero cocycle, so the check reaches
+def _cli_ring(tmp_path, *argv):
+    """(exit code, records) of an in-process ``hhext ring --n 3
+    --deg-max 2`` JSON run with the extra arguments."""
+    out = tmp_path / "ring.json"
+    code = cli.main(["ring", "--n", "3", "--deg-max", "2", *argv, "--format",
+                     "json", "--no-timestamp", "--out", str(out)])
+    return code, json.loads(out.read_text())["records"]
+
+
+@pytest.mark.parametrize("char", ["0", "3"], ids=["QQ", "GF3"])
+def test_relation_record_fails_under_a_flipped_right_hand_side(
+        tmp_path, monkeypatch, char):
+    """With the sign of the deg11.2 row of RELATIONS flipped, `hhext ring
+    --n 3 --deg-max 2` exits 1, and the deg11.2 record is its only
+    failure: all 18 instances, in lexicographic order of (i, j, s, t).
+    Each flipped instance leaves a nonzero cocycle, so the check reaches
     in_coboundary_image, which no unplanted instance needs."""
-    true_instances = ring.relation_instances
     true_in_image = ring.in_coboundary_image
     reached = []
-
-    def flipped(n, field):
-        for fid, inst, lhs, rhs in true_instances(n, field):
-            if fid == "deg11.2":
-                rhs = add({}, rhs, field, -1)
-            yield fid, inst, lhs, rhs
 
     def in_image(vec, field):
         reached.append(vec)
         return true_in_image(vec, field)
 
-    monkeypatch.setattr(ring, "relation_instances", flipped)
+    rows = [(fid, test, (-right[0], *right[1:]) if fid == "deg11.2" else right)
+            for fid, test, right in ring.RELATIONS]
+    monkeypatch.setattr(ring, "RELATIONS", tuple(rows))
     monkeypatch.setattr(ring, "in_coboundary_image", in_image)
-    recs = {rec["family"]: rec for rec in verify_ring_relations(3, field)}
-    assert recs["deg11.2"]["instances"] == 18
-    assert len(recs["deg11.2"]["failures"]) == 18
-    assert not any(rec["failures"] for fid, rec in recs.items()
-                   if fid != "deg11.2")
+    code, records = _cli_ring(tmp_path, "--char", char)
+    failed = [rec for rec in records if rec["status"] == "fail"]
+    assert code == 1 and len(failed) == 1
+    rec, = failed
+    assert rec["id"] == "ring.relation-family"
+    assert rec["params"]["family"] == "deg11.2"
+    want = [[i, j, s, t] for i in range(1, 4) for j in range(1, 4)
+            for s in range(i + 1, 4) for t in range(j, 4)]
+    assert len(want) == 18 and want == sorted(want)
+    assert rec["computed"] == {"instances": 18, "failures": want}
     assert len(reached) == 18
+
+
+def test_unit_blind_cup_fails_ring_unital_at_the_cli(tmp_path, monkeypatch):
+    """A cup that returns zero whenever a factor is the unit class fails
+    `ring.unital`, and only it: `hhext ring --n 3 --deg-max 2` exits 1.
+    No other check multiplies by the unit; the presentation audit takes
+    the unit only as the empty word's value."""
+    unit = unit_class(3, QQ)
+    true_cup = ring.cup
+    monkeypatch.setattr(ring, "cup", lambda a, b, field: (
+        {} if unit in (a, b) else true_cup(a, b, field)))
+    code, records = _cli_ring(tmp_path)
+    assert code == 1
+    assert {rec["id"] for rec in records if rec["status"] == "fail"} == {
+        "ring.unital"}
+
+
+def _closed_instance_counts(n):
+    """The number of instances of each family at n, in closed form."""
+    C = comb
+    pairs, sym = C(n, 2), C(n + 1, 2)
+    return {
+        "deg00.1": pairs ** 2, "deg00.2": pairs ** 2 - pairs * C(n - 2, 2),
+        **{f"deg00.{k}": C(n, 4) for k in (3, 4, 5, 6)},
+        "deg01.1": pairs * n ** 2, "deg01.2": 2 * pairs * n,
+        "deg01.3": n * C(n, 3), "deg01.4": n * C(n, 3),
+        "deg02.1": pairs * sym,
+        "deg11.1": n ** 3,
+        **{f"deg11.{k}": pairs * sym for k in (2, 3, 4, 5)},
+        "deg12.1": n ** 2 * sym, "deg12.2": n * C(n + 1, 3),
+        "deg12.3": n * C(n + 1, 3),
+        "deg22.1": sym ** 2,
+        **{f"deg22.{k}": C(n + 3, 4) for k in (2, 3, 4, 5)},
+    }
+
+
+def test_relation_instance_counts_follow_closed_forms():
+    """Each family's instance count at n = 2..7 is its closed form, and
+    the totals are 78, 360, 1 090, 2 595, 5 292 and 9 688."""
+    totals = []
+    for n in range(2, 8):
+        got = Counter(fid for fid, _, _ in relation_instances(n))
+        want = _closed_instance_counts(n)
+        assert list(want) == list(ring.RELATION_FAMILIES)
+        assert set(got) <= set(want)
+        assert {fid: got[fid] for fid in want} == want, n
+        totals.append(sum(got.values()))
+    assert totals == [78, 360, 1090, 2595, 5292, 9688]
+
+
+def test_relation_elements_are_sums_of_letter_words():
+    """Each instance is {word: int} over the letters of generators, the
+    left word X_ij Y_st first with coefficient 1, in lexicographic order
+    of (i, j, s, t) within its family.  Where both sides are one word the
+    coefficients add up to zero and the element is empty, as for deg00.1
+    and deg22.1 at (i, j) = (s, t) and deg22.2 to .5 on the diagonal; no
+    family whose two sides differ in their letters' degrees has one."""
+    n = 3
+    gens = generators(n, QQ)
+    last, empty = {}, set()
+    for fid, (i, j, s, t), element in relation_instances(n):
+        assert (i, j, s, t) > last.get(fid, ())
+        last[fid] = (i, j, s, t)
+        for word in element:
+            assert len(word) == 2 and all(k in gens[d] for d, k in word)
+        x, y = int(fid[3]), int(fid[4])
+        if element:
+            assert next(iter(element.items())) == (
+                ((x, (i, j)), (y, (s, t))), 1)
+        else:
+            empty.add((fid, i, j, s, t))
+    assert {fid for fid, *_ in empty} == {"deg00.1", "deg22.1", "deg22.2",
+                                          "deg22.3", "deg22.4", "deg22.5"}
+    assert empty >= (
+        {("deg00.1", i, j, i, j) for i, j in [(1, 2), (1, 3), (2, 3)]}
+        | {("deg22.1", i, j, i, j) for i in range(1, 4) for j in range(i, 4)}
+        | {(f"deg22.{k}", h, h, h, h) for k in (2, 3, 4, 5)
+           for h in range(1, 4)})
 
 
 def test_graded_commutativity_and_associativity():
@@ -465,8 +545,8 @@ def test_values_over_q_are_ints_or_proper_fractions(data, c):
 
 def test_specific_anticommutation():
     """Odd classes anticommute: both orders of two degree-1 classes."""
-    a = deg1_generator(3, QQ, 1, 2)
-    b = deg1_generator(3, QQ, 3, 1)
+    V = generators(3, QQ)[1]
+    a, b = V[1, 2], V[3, 1]
     assert cup(a, b, QQ) == add({}, cup(b, a, QQ), QQ, -1)
 
 
@@ -495,27 +575,49 @@ def test_presentation_audit_flags_odd_n_degree_zero():
     records = presentation_audit(3, QQ, hhc(3, 2))
     deg0 = records[0]
     assert deg0["count"] == 4 and deg0["expected"] == 5
-    assert not deg0["matches"]
     assert deg0["evaluations_independent"]
-    assert records[1]["matches"] and records[2]["matches"]
+    assert all(rec["count"] == rec["expected"] for rec in records[1:])
 
 
-def test_evaluate_word():
+def test_evaluate_word(monkeypatch):
+    """A word is the cup product of its letters from the first on: one
+    cup fewer than letters, none for a single letter; the empty word is
+    the unit, which is never multiplied in."""
+    unit, gens = unit_class(2, QQ), generators(2, QQ)
+    calls = []
+
+    def counted(a, b, field):
+        calls.append(a is unit or b is unit)
+        return cup(a, b, field)
+
+    monkeypatch.setattr(ring, "cup", counted)
     word = ((0, (1, 2)), (2, (1, 1)))
-    val = evaluate_word(word, unit_class(2, QQ), generators(2, QQ), QQ)
-    assert val == {((1, 2), (2, 0)): QQ.one}
-    assert evaluate_word((), unit_class(2, QQ), generators(2, QQ), QQ) == \
-        unit_class(2, QQ)
+    assert evaluate_word(word, unit, gens, QQ) == {((1, 2), (2, 0)): QQ.one}
+    assert calls == [False]
+    assert evaluate_word(word[:1], unit, gens, QQ) == gens[0][1, 2]
+    assert evaluate_word((), unit, gens, QQ) == unit_class(2, QQ)
+    assert calls == [False]
 
 
 def test_generators_are_the_letters():
-    """generators builds each generator of every letter once, as the
-    deg*_generator functions do one by one."""
-    U, V, W = generators(3, GF(5))
+    """generators builds each letter's generator once, a single term with
+    coefficient one: x_i x_j against exponent 0 in degree 0, x_p against
+    exponent q in degree 1, the empty monomial against s and t in
+    degree 2."""
+    n, F = 3, GF(5)
+
+    def e(*hs):
+        return tuple(sum(h == k for h in hs) for k in range(1, n + 1))
+
+    U, V, W = generators(n, F)
+    assert U == {(i, j): {((i, j), e()): 1}
+                 for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    assert V == {(p, q): {((p,), e(q)): 1}
+                 for p in range(1, n + 1) for q in range(1, n + 1)}
+    assert W == {(s, t): {((), e(s, t)): 1}
+                 for s in range(1, n + 1) for t in range(s, n + 1)}
     assert (len(U), len(V), len(W)) == (3, 9, 6)
-    assert U[1, 3] == deg0_generator(3, GF(5), 1, 3)
-    assert V[3, 1] == deg1_generator(3, GF(5), 3, 1)
-    assert W[2, 2] == deg2_generator(3, GF(5), 2, 2)
+    assert W[2, 2] == {((), (0, 2, 0)): 1}
 
 
 def test_char2_ring_structure():

@@ -9,10 +9,12 @@ Both are read off term tables, one per side and summand list: the degree
 enters the summands only through the sign (-1)^d, so ``TermTables``
 makes at most four per (n, field), and builds a row, its values field
 elements made once by ``field.of``, only when a block or a vector first
-reads that monomial.  As a column rule a table feeds ``exactla.apply``.
-Ranks never need a global basis: both differentials are block diagonal
-by a Z^n weight, 1_idx + e or e - 1_idx, and each weight block is
-assembled straight from the table, its rows named by their monomial.
+reads that monomial.  A differential is read one way, as the column
+rule of its table, which feeds ``exactla.apply`` and
+``exactla.keyed_matrix``.  Ranks never need a global basis: both
+differentials are block diagonal by a Z^n weight, 1_idx + e or
+e - 1_idx, and each weight block is the keyed matrix of the column rule
+with its rows named by their monomial.
 Permuting the generators, an automorphism sending g(e) to g(sigma e),
 carries each weight block onto the blocks of its S_n orbit by a signed
 permutation, so a rank is an orbit sum over nonincreasing weights.  As
@@ -32,7 +34,7 @@ from collections import Counter, defaultdict
 from itertools import combinations
 from math import factorial, prod
 
-from .exactla import SparseMatrix, apply, keyed_matrix, rank
+from .exactla import apply, keyed_matrix, rank
 from .exterior import check_n, merge_signed, monomials
 from .formulas import binom
 from .resolution import exponent_vectors, generator_terms
@@ -137,25 +139,6 @@ class TermTables:
 # of a block share a monomial.
 
 
-def _block(domain, table):
-    """Matrix of one weight block, assembled from the term table: column
-    c holds the entries (h, t, v) of its key (idx, e) with e_h + step >=
-    0, in row t.  Rows are numbered in order of first use, so the matrix
-    is ``keyed_matrix`` of the domain and the table's column rule."""
-    index, step = {}, table.step
-    entries = []
-    for c, (idx, e) in enumerate(domain):
-        for h, t, v in table[idx]:
-            if e[h - 1] + step >= 0:
-                r = index.get(t)
-                if r is None:
-                    index[t] = len(entries)
-                    entries.append({c: v})
-                else:
-                    entries[r][c] = v
-    return SparseMatrix(len(entries), len(domain), table.field, entries)
-
-
 def _degrees(table, n):
     """The monomial degrees j whose first monomial (1, ..., j) has a
     nonempty row.  Permuting the generators carries that row onto the row
@@ -215,18 +198,25 @@ def weight_blocks(tables, m, chain):
     weight 1_T + e, |T| = k; with support {1..s}, s >= k, that is 1 there
     plus a partition of m + k - s.  By ``weight_domain`` the cochain
     blocks of monomial degree j are these at k = n - j, less 1, and the
-    shift keeps each orbit."""
+    shift keeps each orbit.  Each block is the ``keyed_matrix`` of its
+    domain and the table's column rule with every row named by its
+    monomial, which names the target inside one block."""
     low = 1 if chain else 0
     if m < low:
         raise ValueError(f"m must be >= {low}")
-    n, table = tables.n, tables(m, chain)
+    n, field, table = tables.n, tables.field, tables(m, chain)
+    step = table.step
+
+    def column(key):
+        idx, e = key
+        return {t: v for h, t, v in table[idx] if e[h - 1] + step >= 0}
     for j in _degrees(table, n):
         k = j if chain else n - j
         for s in range(k, min(n, m + k) + 1):
             for p in _partitions(m + k - s, s, m):
                 w = tuple(x + low for x in p) + (low - 1,) * (n - s)
                 domain = weight_domain(n, m, w, chain)
-                yield domain, _block(domain, table), _orbit(w)
+                yield domain, keyed_matrix(domain, column, field), _orbit(w)
 
 
 class Ranks:

@@ -114,14 +114,10 @@ class PrimeField:
 
 QQ = RationalField()
 
-_gf_cache = {}
-
 
 def GF(p):
-    """Memoized prime field constructor."""
-    if p not in _gf_cache:
-        _gf_cache[p] = PrimeField(p)
-    return _gf_cache[p]
+    """The prime field F_p; fields compare and hash by p."""
+    return PrimeField(p)
 
 
 def field_of_char(char):
@@ -130,9 +126,7 @@ def field_of_char(char):
 
 
 class SparseMatrix:
-    """Sparse matrix over an exact field, built by ``keyed_matrix`` or,
-    for a weight block of the resolution complexes, straight from their
-    term table.
+    """Sparse matrix over an exact field, built by ``keyed_matrix``.
 
     ``entries[r]`` is row r as a dict {col: nonzero scalar}; no row is
     empty.  Nothing here mutates it; rank works on a copy.

@@ -58,29 +58,6 @@ def commutator(a, b, field):
     return {mono: c for mono, c in out.items() if c}
 
 
-def center_basis(n, field):
-    """Basis of the center: all even-degree monomials, plus the top
-    monomial x_1...x_n when n is odd.  Only meaningful away from
-    characteristic 2 (there the algebra is commutative).
-
-    Each candidate is verified by commuting against every generator, and
-    every non-candidate is verified to fail.
-    """
-    check_n(n)
-    if field.char == 2:
-        raise ValueError("in characteristic 2 the whole algebra is central")
-    out = []
-    for mono in monomials(n):
-        central = not any(commutator(mono, (h,), field)
-                          for h in range(1, n + 1))
-        expected = len(mono) % 2 == 0 or len(mono) == n
-        if central != expected:
-            raise AssertionError(f"centrality check failed for {mono}")
-        if central:
-            out.append(mono)
-    return out
-
-
 def commutator_quotient_dim(n, field):
     """dim of the quotient by the commutator subspace: the codimension of
     the span of all commutators over basis pairs.

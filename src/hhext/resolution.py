@@ -4,11 +4,12 @@ Degree-m generators are indexed by exponent vectors (i_1,...,i_n) with
 sum m.  Each generator is realized as a polynomial in the free algebra
 on x_1..x_n via the recursion  g(e) = sum_h g(e - delta_h) x_h,  with
 g(0) = 1.  The differential is written once, as the summands
-``generator_terms`` of d(e); ``generator_map`` lists them per generator
-and ``hhext.complexes`` builds both the chain and the cochain complex
-from them.  The structural checks below machine-verify that the
-polynomials form a basis of the expected relation-window intersection
-space and that the differential squares to zero.
+``generator_terms`` of d(e).  ``bimodule_column`` extends it to the free
+bimodules A (x) V_m (x) A as a column rule, and ``hhext.complexes``
+builds both the chain and the cochain complex from the same summands.
+The structural checks below machine-verify that the polynomials form a
+basis of the expected relation-window intersection space and that the
+differential squares to zero.
 
 Words in the free algebra are index tuples; free-algebra elements are
 dicts word -> integer coefficient.
@@ -19,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .exactla import QQ, keyed_matrix, rank, rank_gain
+from .exactla import QQ, apply, keyed_matrix, rank, rank_gain
 from .exterior import check_n, merge_signed
 from .formulas import binom
 
@@ -138,49 +139,37 @@ def generator_terms(m, h):
         d(e) = sum_h ( x_h . g(e - d_h) + (-1)^m g(e - d_h) . x_h )
 
     over the h in the support of e.  This is the one place the sign of
-    the differential is written: ``generator_map`` and both column rules
-    of ``hhext.complexes`` read it.
+    the differential is written: ``bimodule_column`` and both column
+    rules of ``hhext.complexes`` read it.
     """
     return ((1, (h,), ()), ((-1) ** m, (), (h,)))
 
 
-def generator_map(n, m):
-    """The degree-m differential, as a signed summand list per generator:
-    {e: summands} with summands (sign, left word, target exponent vector,
-    right word) from ``generator_terms(m, h)`` over the support of e.
+def bimodule_column(key):
+    """Column rule of the differential of the free bimodule A (x) V (x) A:
+    the key (a, e, b), monomials a and b around the generator g(e) of
+    degree m = |e|, goes to {(a.l, e - d_h, r.b): integer} over the
+    summands (s, l, r) of generator_terms(m, h), h in the support of e.
     """
-    check_n(n)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return {e: [(sign, left, prev, right)
-                for h, prev in _predecessors(e)
-                for sign, left, right in generator_terms(m, h)]
-            for e in exponent_vectors(n, m)}
+    a, e, b = key
+    col = {}
+    for h, prev in _predecessors(e):
+        for sign, l, r in generator_terms(sum(e), h):
+            left, right = merge_signed(a, l), merge_signed(r, b)
+            if left and right:
+                target = (left[1], prev, right[1])
+                col[target] = col.get(target, 0) + sign * left[0] * right[0]
+    return col
 
 
 def verify_delta_squared_zero(n, m):
-    """Compose the differentials in degrees m+1 and m formally and check
-    that every generator coefficient (a sum of signed monomial pairs
-    acting on the left and right) cancels to zero.  Integer arithmetic,
-    so the conclusion holds over every field.
+    """The bimodule differential applied twice, from degree m + 1, sends
+    every generator ((), e, ()) to zero.  Over Q every coefficient is an
+    integer, so the conclusion holds over every field.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    outer = generator_map(n, m + 1)
-    inner = generator_map(n, m)
-    for e, summands in outer.items():
-        acc = {}
-        for s1, l1, e1, r1 in summands:
-            for s2, l2, e2, r2 in inner[e1]:
-                left = merge_signed(l1, l2)
-                if left is None:
-                    continue
-                right = merge_signed(r2, r1)
-                if right is None:
-                    continue
-                sign = s1 * s2 * left[0] * right[0]
-                key = (left[1], e2, right[1])
-                acc[key] = acc.get(key, 0) + sign
-        if any(c != 0 for c in acc.values()):
-            return False
-    return True
+    return not any(
+        apply(bimodule_column,
+              apply(bimodule_column, {((), e, ()): 1}, QQ), QQ)
+        for e in exponent_vectors(n, m + 1))

@@ -38,7 +38,7 @@ from .complexes import (
     weight_domain,
 )
 from .exactla import apply, rank_gain
-from .exterior import check_n, merge_signed, monomials, center_basis
+from .exterior import check_n, merge_signed, monomials
 from .formulas import binom, same_parity
 from .resolution import exponent_vectors
 
@@ -153,25 +153,19 @@ def cup(a, b, field):
 
 
 def cohomology_basis(n, m, field):
-    """Basis of degree-m cohomology classes, away from characteristic 2.
-
-    Degree 0 is the center of the algebra.  In degree m >= 1 the basis
-    vectors are the single terms whose monomial degree i satisfies
-    p(i) = p(m), with i running over 0..n.
+    """Basis of degree-m cohomology classes, away from characteristic 2:
+    the single terms whose monomial degree i satisfies p(i) = p(m), with
+    i running over 0..n, and in degree 0, the center of the algebra, the
+    top monomial too when n is odd.
     """
     if field.char == 2:
         raise ValueError("characteristic 2 has no parity basis; every "
                          "cochain is a cocycle there")
-    if m == 0:
-        zero_e = (0,) * n
-        return [cochain(n, 0, field, {(idx, zero_e): field.one})
-                for idx in center_basis(n, field)]
     out = []
     for idx in monomials(n):
-        if not same_parity(len(idx), m):
-            continue
-        for e in exponent_vectors(n, m):
-            out.append(cochain(n, m, field, {(idx, e): field.one}))
+        if same_parity(len(idx), m) or (m == 0 and len(idx) == n):
+            for e in exponent_vectors(n, m):
+                out.append(cochain(n, m, field, {(idx, e): field.one}))
     return out
 
 
@@ -390,12 +384,12 @@ def verify_unital(n, field, total_deg_max):
 # Presentation by generators and relations: normal form audit.
 
 
-def presentation_normal_forms(n, degree, min_index=1):
+def presentation_normal_forms(n, degree):
     """Normal-form words of the given total degree.
 
     A word is an even-length strictly increasing chain of indices
-    >= min_index grouped into degree-0 pair letters, extended by one
-    degree-1 letter on the next chain index when the degree is odd,
+    grouped into degree-0 pair letters, extended by one degree-1 letter
+    on the next chain index when the degree is odd,
     followed by a sorted multiset of exponent indices grouped into one
     slot on the degree-1 letter (odd case) and degree-2 pair letters.
 
@@ -405,10 +399,9 @@ def presentation_normal_forms(n, degree, min_index=1):
     if degree < 0:
         raise ValueError("degree must be >= 0")
     odd = degree % 2
-    pool = range(min_index, n + 1)
     out = []
-    for size in range(odd, len(pool) + 1, 2):
-        for chain in combinations(pool, size):
+    for size in range(odd, n + 1, 2):
+        for chain in combinations(range(1, n + 1), size):
             for jvec in combinations_with_replacement(range(1, n + 1), degree):
                 letters = [(0, chain[p:p + 2])
                            for p in range(0, size - odd, 2)]
@@ -456,7 +449,7 @@ def presentation_audit(n, field, hhc):
     records = []
     unit, gens = unit_class(n, field), generators(n, field)
     for d, expected in enumerate(hhc):
-        words = presentation_normal_forms(n, d, min_index=1)
+        words = presentation_normal_forms(n, d)
         count = len(words)
         keys = set()
         clean = True
@@ -530,11 +523,9 @@ def char2_ring_check(n, deg_max, field):
                 break
         if not (product_ok and commutative):
             break
-    ok = diffs_vanish and dims_full and product_ok and commutative
     return {
         "differentials_vanish": diffs_vanish,
         "dims_full": dims_full,
         "product_matches_polynomial_model": product_ok,
         "commutative": commutative,
-        "ok": ok,
     }

@@ -17,9 +17,8 @@ PROCESS_CACHES = {
     "hhext.resolution.generator_polynomial",
 }
 
-# The one module-level container that may grow: the memo of GF(p), one
-# field object per prime asked for.
-GROWING_CONTAINERS = {"hhext.exactla._gf_cache"}
+# No module-level container may grow during a run.
+GROWING_CONTAINERS = set()
 
 
 def test_process_lifetime_caches_are_the_listed_two():
@@ -33,11 +32,22 @@ def test_process_lifetime_caches_are_the_listed_two():
 
 # Run in a fresh interpreter, so no earlier test has filled a container:
 # prints {name: size} of every dict, list and set bound in an hhext module
-# or on a class defined there, before and after one in-process dims run.
+# or on a class defined there, before and after one in-process run of the
+# CLI arguments after the first.  A first argument "plant" binds a list
+# hhext.exactla.planted_log that every rank call of the run appends to.
 SIZES = """
 import io, json, sys
 from contextlib import redirect_stdout
 import hhext.cli
+from hhext import complexes, exactla
+
+if sys.argv[1] == "plant":
+    exactla.planted_log = []
+
+    def rank(M, true_rank=complexes.rank):
+        exactla.planted_log.append(M.rows)
+        return true_rank(M)
+    complexes.rank = rank
 
 def sizes():
     out = {}
@@ -56,22 +66,31 @@ def sizes():
 
 before = sizes()
 with redirect_stdout(io.StringIO()):
-    code = hhext.cli.main(sys.argv[1:])
+    code = hhext.cli.main(sys.argv[2:])
 print(json.dumps([code, before, sizes()]))
 """
+
+
+def _grown(first):
+    """The module-level containers that grow in one dims run."""
+    run = subprocess.run(
+        [sys.executable, "-c", SIZES, first, "dims", "--n", "4", "--m-max",
+         "3", "--char", "3", "--format", "json", "--no-timestamp"],
+        capture_output=True, text=True, check=True)
+    code, before, after = json.loads(run.stdout)
+    assert code == 0
+    return {key for key, size in after.items()
+            if size > before.get(key, 0)}
 
 
 def test_no_module_level_container_grows_in_a_run():
     """A dims run leaves every module-level dict, list and set as large as
     it was, apart from the listed ones: term tables, ranks and blocks live
     only as long as the call that made them."""
-    run = subprocess.run(
-        [sys.executable, "-c", SIZES, "dims", "--n", "4", "--m-max", "3",
-         "--char", "3", "--format", "json", "--no-timestamp"],
-        capture_output=True, text=True, check=True)
-    code, before, after = json.loads(run.stdout)
-    assert code == 0
-    assert before, "no container found"
-    grown = {key for key, size in after.items()
-             if size > before.get(key, 0)}
-    assert grown == GROWING_CONTAINERS
+    assert _grown("clean") == GROWING_CONTAINERS
+
+
+def test_a_planted_growing_container_is_caught():
+    """A module-level list that the run appends to is seen to grow."""
+    assert _grown("plant") == GROWING_CONTAINERS | {
+        "hhext.exactla.planted_log"}

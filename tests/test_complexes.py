@@ -178,12 +178,11 @@ def test_blocks_partition_the_global_matrices():
 
 
 def test_blocks_are_the_keyed_matrices_of_the_column_rules():
-    """Every representative block, assembled straight from the term
-    table with its rows named by their monomial, is the matrix
-    ``keyed_matrix`` makes of its domain and the column rule: the same
-    columns, and the same rows, entries and values in the same order.
-    Its weight is nonincreasing, and its domain holds exactly the keys
-    of that weight."""
+    """Every representative block, its rows named by their monomial, is
+    the matrix ``keyed_matrix`` makes of its domain and the column rule
+    with full target keys: the same columns, and the same rows, entries
+    and values in the same order.  Its weight is nonincreasing, and its
+    domain holds exactly the keys of that weight."""
     built = 0
     for field in FIELDS:
         for n in range(2, 6):
@@ -369,30 +368,32 @@ def test_tables_are_keyed_by_summand_list(monkeypatch, tmp_path):
         ("ranks.cochain", m) for m in (0, 1, 4, 5)}
 
 
-def _flip_one_sign(block, step0, key0):
-    """The block assembler ``block`` with one sign flipped: in the block
-    read from a table of exponent step step0 that holds key0, the first
-    entry of key0's column.  The shared term table, which every block and
-    every column rule reads, is left as it is."""
-    def mutant(domain, table):
-        M = block(domain, table)
-        if table.step == step0 and key0 in domain:
+def _flip_one_sign(make, key0):
+    """The matrix maker ``make`` with one sign flipped: in a matrix whose
+    domain holds key0, the first entry of key0's column, if it has one.
+    The shared term table, which every block and every column rule
+    reads, is left as it is."""
+    def mutant(domain, column, field):
+        M = make(domain, column, field)
+        if key0 in domain:
             c = domain.index(key0)
-            row = next(row for row in M.entries if c in row)
-            row[c] = M.field.of(-row[c])
+            row = next((row for row in M.entries if c in row), None)
+            if row:
+                row[c] = field.of(-row[c])
         return M
     return mutant
 
 
-# Per side: the exponent step of its blocks, its closed double sum, its
-# blocks, the record that compares them, and the degree and key of one
-# planted sign at n = 4.  Each key lies in a representative block whose
-# weight has an orbit of more than one: chain weight (2, 1, 1, 0), orbit
-# 12; cochain weight (1, 0, 0, 0), orbit 4.
+# Per side: its closed double sum, its blocks, the record that compares
+# them, and the degree and key of one planted sign at n = 4.  Each key
+# lies in a representative block whose weight has an orbit of more than
+# one: chain weight (2, 1, 1, 0), orbit 12; cochain weight (1, 0, 0, 0),
+# orbit 4.  The cochain key also lies in the chain block of weight
+# (3, 0, 0, 0) leaving degree 2, whose only column is empty.
 PLANTED = {
-    "chain": (-1, chain_rank_double_sum, fresh(True), "ranks.chain", 3,
+    "chain": (chain_rank_double_sum, fresh(True), "ranks.chain", 3,
               ((1,), (1, 1, 1, 0))),
-    "cochain": (1, cochain_rank_double_sum, fresh(False), "ranks.cochain",
+    "cochain": (cochain_rank_double_sum, fresh(False), "ranks.cochain",
                 2, ((1,), (2, 0, 0, 0))),
 }
 
@@ -403,12 +404,13 @@ def test_planted_sign_in_a_representative_block_is_caught(
     """One sign flipped in a representative weight block takes that
     side's rank off the double sum in the planted degree only, and
     ``verify --suite ranks`` fails there: the rank the block carries
-    for its whole orbit is the rank of the block as built."""
-    step, double_sum, blocks, record, m0, key0 = PLANTED[side]
+    for its whole orbit is the rank of the block as built, by
+    ``keyed_matrix`` as hhext.complexes binds it."""
+    double_sum, blocks, record, m0, key0 = PLANTED[side]
     assert sum(orbit > 1 for domain, _, orbit
                in blocks(4, m0, QQ) if key0 in domain) == 1
-    monkeypatch.setattr(complexes, "_block",
-                        _flip_one_sign(complexes._block, step, key0))
+    monkeypatch.setattr(complexes, "keyed_matrix",
+                        _flip_one_sign(complexes.keyed_matrix, key0))
     for field in (QQ, GF(3)):
         got = getattr(ranks(4, 3, field), side)
         for m in range(1, 4):
@@ -551,7 +553,7 @@ def test_orbit_sums_reach_n16():
 
 # What the bar oracle must never name: anything bound from
 # hhext.resolution, and the resolution side's tables, blocks and orbits.
-RESOLUTION_SIDE = {"TermTables", "_TermTable", "_block", "_degrees", "_orbit",
+RESOLUTION_SIDE = {"TermTables", "_TermTable", "_degrees", "_orbit",
                    "_partitions", "weight_blocks", "weight_domain",
                    "key_weight"}
 BAR_ORACLE = ("_bar_", "bar_", "largest_feasible_degree", "bar_oracle_dims")

@@ -83,7 +83,7 @@ def test_is_prime_miller_rabin():
 
 def test_field_of_char():
     assert field_of_char(0) is QQ
-    assert field_of_char(5) is GF(5)
+    assert field_of_char(5) == GF(5)
 
 
 def test_field_of_converts_scalars():

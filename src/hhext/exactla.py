@@ -62,7 +62,7 @@ class RationalField:
         if type(x) is int:
             return x
         if type(x) is not Fraction:
-            x = Fraction(x)
+            raise TypeError(f"a scalar is an int or a Fraction, not {x!r}")
         return x.numerator if x.denominator == 1 else x
 
     zero = 0
@@ -97,7 +97,7 @@ class PrimeField:
             return x % self.p
         if isinstance(x, Fraction):
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
-        return x % self.p
+        raise TypeError(f"a scalar is an int or a Fraction, not {x!r}")
 
     def inv(self, a):
         return pow(a, -1, self.p)

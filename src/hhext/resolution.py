@@ -3,13 +3,13 @@
 Degree-m generators are indexed by exponent vectors (i_1,...,i_n) with
 sum m.  Each generator is realized as a polynomial in the free algebra
 on x_1..x_n via the recursion  g(e) = sum_h g(e - delta_h) x_h,  with
-g(0) = 1.  The differential is written once, as the summands
+g(0) = 1, built degree by degree in each call that reads it; nothing is
+cached.  The differential is written once, as the summands
 ``generator_terms`` of d(e).  ``bimodule_column`` extends it to the free
 bimodules A (x) V_m (x) A as a column rule, and ``hhext.complexes``
-builds both the chain and the cochain complex from the same summands.
-The structural checks below machine-verify that the polynomials form a
-basis of the expected relation-window intersection space and that the
-differential squares to zero.
+builds both complexes from the same summands.  The checks below
+machine-verify that the polynomials form a basis of the expected
+relation-window intersection space and that d squares to zero.
 
 Words in the free algebra are index tuples; free-algebra elements are
 dicts word -> integer coefficient.
@@ -17,7 +17,6 @@ dicts word -> integer coefficient.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .exactla import QQ, apply, keyed_matrix, rank, rank_gain
@@ -25,7 +24,6 @@ from .exterior import check_n, merge_signed
 from .formulas import binom
 
 
-@lru_cache(maxsize=None)
 def exponent_vectors(n, m):
     """All (i_1,...,i_n) with nonnegative entries summing to m, in
     lexicographic order.  There are C(n+m-1, n-1) of them.
@@ -47,36 +45,35 @@ def _predecessors(e):
             for h in range(1, len(e) + 1) if e[h - 1]]
 
 
-def _appended(n, e, right):
+def _appended(below, e, right):
     """sum_h g(e - d_h) x_h over the support of e when ``right``, else
-    sum_h x_h g(e - d_h), with no zero terms."""
+    sum_h x_h g(e - d_h), with no zero terms, reading g from ``below``."""
     terms = {}
     for h, prev in _predecessors(e):
-        for word, c in generator_polynomial(n, prev).items():
+        for word, c in below[prev].items():
             w = word + (h,) if right else (h,) + word
             terms[w] = terms.get(w, 0) + c
     return {w: c for w, c in terms.items() if c}
 
 
-@lru_cache(maxsize=None)
-def generator_polynomial(n, e):
-    """The degree-m generator for exponent vector e, as a free-algebra
-    element.  Every word of multidegree e occurs; observed coefficients
-    are recorded rather than assumed.
-    """
-    check_n(n)
-    if any(i < 0 for i in e):
-        raise ValueError("negative exponent")
-    if not any(e):
-        return {(): 1}
-    return _appended(n, e, right=True)
+def generator_polynomials(n, m):
+    """{e: g(e)} over the degree-m exponent vectors, built from g(0) = 1 a
+    degree at a time, keeping only the degree below; every word of
+    multidegree e occurs, and coefficients are observed, not assumed."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    level = {e: {(): 1} for e in exponent_vectors(n, 0)}
+    for d in range(1, m + 1):
+        level = {e: _appended(level, e, right=True)
+                 for e in exponent_vectors(n, d)}
+    return level
 
 
 def observed_coefficients(n, m):
     """Set of coefficient values occurring across all degree-m generators."""
     vals = set()
-    for e in exponent_vectors(n, m):
-        vals.update(generator_polynomial(n, e).values())
+    for g in generator_polynomials(n, m).values():
+        vals.update(g.values())
     return vals
 
 
@@ -86,8 +83,9 @@ def verify_left_right(n, m):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return all(_appended(n, e, right=False) == generator_polynomial(n, e)
-               for e in exponent_vectors(n, m))
+    below = generator_polynomials(n, m - 1)
+    return all(_appended(below, e, right=False) == g
+               for e, g in generator_polynomials(n, m).items())
 
 
 def _relations(n):
@@ -110,9 +108,9 @@ def verify_relation_window_membership(n, m):
     if m < 2:
         raise ValueError("m must be >= 2")
     relations = _relations(n)
-    for e in exponent_vectors(n, m):
+    for g in generator_polynomials(n, m).values():
         groups = {}
-        for word, c in generator_polynomial(n, e).items():
+        for word, c in g.items():
             for p in range(0, m - 1):
                 g = groups.setdefault((p, word[:p], word[p + 2:]), {})
                 mid = word[p:p + 2]
@@ -127,9 +125,9 @@ def verify_generator_space_dim(n, m):
     exactly C(n+m-1, n-1) members."""
     if m < 2:
         raise ValueError("m must be >= 2")
-    vecs = exponent_vectors(n, m)
-    M = keyed_matrix(vecs, lambda e: generator_polynomial(n, e), QQ)
-    return rank(M) == len(vecs) == binom(n + m - 1, n - 1)
+    gens = generator_polynomials(n, m)
+    M = keyed_matrix(list(gens), gens.__getitem__, QQ)
+    return rank(M) == len(gens) == binom(n + m - 1, n - 1)
 
 
 def generator_terms(m, h):

@@ -1,33 +1,42 @@
-"""The caches that live as long as the process.
+"""No state outlives a call.
 
-They hold the resolution's exponent vectors and generator polynomials.
-None holds a rank, a matrix, a span, a term table or a product table.  A
-new process-lifetime cache fails here until it is listed, so each one is
-a deliberate choice.
+No hhext module binds a cache: the resolution's generators are built
+degree by degree inside each check that reads them.  No module-level
+dict, list or set grows during a run either, so ranks, matrices, term
+tables and products live only as long as the call that made them.
 """
 
 import json
 import subprocess
 import sys
+from functools import lru_cache
 
 import hhext.cli  # noqa: F401  (loads every hhext module)
-
-PROCESS_CACHES = {
-    "hhext.resolution.exponent_vectors",
-    "hhext.resolution.generator_polynomial",
-}
+from hhext import resolution
 
 # No module-level container may grow during a run.
 GROWING_CONTAINERS = set()
 
 
-def test_process_lifetime_caches_are_the_listed_two():
+def _caches():
+    """The qualified names of the objects bound in an hhext module that
+    have ``cache_info``, as an lru_cache-wrapped function does."""
     modules = [mod for name, mod in sys.modules.items()
                if name == "hhext" or name.startswith("hhext.")]
-    found = {f"{fn.__module__}.{fn.__qualname__}"
-             for mod in modules for fn in vars(mod).values()
-             if hasattr(fn, "cache_info")}
-    assert found == PROCESS_CACHES
+    return {f"{fn.__module__}.{fn.__qualname__}"
+            for mod in modules for fn in vars(mod).values()
+            if hasattr(fn, "cache_info")}
+
+
+def test_no_hhext_module_binds_a_cache():
+    assert _caches() == set()
+
+
+def test_a_planted_cache_is_caught(monkeypatch):
+    """An lru_cache-wrapped function bound on an hhext module is found."""
+    monkeypatch.setattr(resolution, "exponent_vectors",
+                        lru_cache(maxsize=None)(resolution.exponent_vectors))
+    assert _caches() == {"hhext.resolution.exponent_vectors"}
 
 
 # Run in a fresh interpreter, so no earlier test has filled a container:

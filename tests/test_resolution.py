@@ -10,7 +10,7 @@ from hhext.formulas import binom
 from hhext.resolution import (
     bimodule_column,
     exponent_vectors,
-    generator_polynomial,
+    generator_polynomials,
     observed_coefficients,
     verify_delta_squared_zero,
     verify_generator_space_dim,
@@ -29,13 +29,17 @@ def test_exponent_vectors():
         assert list(vecs) == sorted(vecs)
 
 
-def test_generator_polynomial_base_and_small():
-    assert generator_polynomial(2, (0, 0)) == {(): 1}
-    assert generator_polynomial(2, (1, 0)) == {(1,): 1}
+def test_generator_polynomials_base_and_small():
+    assert generator_polynomials(2, 0) == {(0, 0): {(): 1}}
+    assert generator_polynomials(2, 1) == {(0, 1): {(2,): 1},
+                                           (1, 0): {(1,): 1}}
     # mixed degree: all words of that multidegree, coefficient one each
-    assert generator_polynomial(2, (1, 1)) == {(1, 2): 1, (2, 1): 1}
-    assert generator_polynomial(2, (2, 0)) == {(1, 1): 1}
-    assert generator_polynomial(3, (1, 0, 1)) == {(1, 3): 1, (3, 1): 1}
+    assert generator_polynomials(2, 2) == {
+        (0, 2): {(2, 2): 1}, (1, 1): {(1, 2): 1, (2, 1): 1},
+        (2, 0): {(1, 1): 1}}
+    gens = generator_polynomials(3, 2)
+    assert list(gens) == list(exponent_vectors(3, 2))
+    assert gens[1, 0, 1] == {(1, 3): 1, (3, 1): 1}
 
 
 def test_all_coefficients_are_one():
@@ -67,10 +71,14 @@ def test_relation_window_membership_fails_under_planted_defects(monkeypatch):
     n, m = 2, 2
     assert verify_relation_window_membership(n, m)
     assert verify_left_right(n, m)
-    true_poly = resolution.generator_polynomial
-    lopsided = lambda n, e: ({(1, 2): 1, (2, 1): 2} if e == (1, 1)
-                             else true_poly(n, e))
-    monkeypatch.setattr(resolution, "generator_polynomial", lopsided)
+    true_polys = resolution.generator_polynomials
+
+    def lopsided(n, m):
+        gens = true_polys(n, m)
+        if m == 2:
+            gens[1, 1] = {(1, 2): 1, (2, 1): 2}
+        return gens
+    monkeypatch.setattr(resolution, "generator_polynomials", lopsided)
     assert not verify_relation_window_membership(n, m)
     assert not verify_left_right(n, m)
     monkeypatch.undo()
@@ -81,6 +89,25 @@ def test_relation_window_membership_fails_under_planted_defects(monkeypatch):
     assert sum(rel != old for rel, old in zip(flipped, relations)) == 1
     monkeypatch.setattr(resolution, "_relations", lambda n: flipped)
     assert not verify_relation_window_membership(n, m)
+
+
+def test_left_right_fails_on_a_right_only_builder(monkeypatch):
+    """A builder whose degree-3 level is the right-appended recursion on a
+    lopsided degree-2 level agrees with appending on the right, not on
+    the left, so the left-right check fails at m = 3."""
+    true_polys = resolution.generator_polynomials
+
+    def right_only(n, m):
+        gens = true_polys(n, min(m, 2))
+        if m >= 2:
+            gens[1, 1] = {(1, 2): 1, (2, 1): 2}
+        if m == 3:
+            gens = {e: resolution._appended(gens, e, right=True)
+                    for e in exponent_vectors(n, 3)}
+        return gens
+    assert verify_left_right(2, 3)
+    monkeypatch.setattr(resolution, "generator_polynomials", right_only)
+    assert not verify_left_right(2, 3)
 
 
 def test_generator_space_dimension():
@@ -137,6 +164,6 @@ def test_planted_right_action_fails_composite_zero(monkeypatch, tmp_path):
 
 def test_validation():
     with pytest.raises(ValueError):
-        generator_polynomial(2, (-1, 2))
+        generator_polynomials(2, -1)
     with pytest.raises(ValueError):
         verify_left_right(2, 0)

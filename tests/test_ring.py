@@ -230,6 +230,16 @@ def test_cochain_validation():
     assert cochain(2, 1, GF(3), {((1,), (1, 0)): 3, keep: 4}) == {keep: 1}
 
 
+def test_a_scalar_is_an_int_or_a_fraction():
+    """A float or a string is no scalar: field.of and cochain both raise
+    TypeError on it, over GF(3) and over Q alike."""
+    for field, x in ((GF(3), 0.5), (QQ, 0.1), (QQ, "1/3")):
+        with pytest.raises(TypeError):
+            field.of(x)
+        with pytest.raises(TypeError):
+            cochain(2, 0, field, {((), (0, 0)): x})
+
+
 def test_relation_families_all_hold():
     for n, field in ((2, QQ), (3, QQ), (2, GF(5))):
         assert not any(rec["failures"]

@@ -41,7 +41,6 @@ from .complexes import (
     TermTables,
     bar_oracle_dims,
     chain_dim,
-    largest_feasible_degree,
     resolution_ranks,
     verify_d_squared_zero,
 )
@@ -193,16 +192,16 @@ def _oracle_records(ns, m_max, char, cap):
     field = field_of_char(char)
     out = []
     for n in ns:
-        feasible = min(m_max, largest_feasible_degree(n, cap))
-        if feasible >= 0:
-            ranks = resolution_ranks(TermTables(n, field), feasible)
-            for m, h, c in bar_oracle_dims(n, feasible, field, cap):
-                p = {"n": n, "m": m, "char": char}
-                out.append(_rec("oracle.hh", p, hh_dim_formula(n, m, char), h))
-                out.append(_rec("oracle.hhc", p, hhc_dim_formula(n, m, char), c))
-                out.append(_rec("oracle.hh-vs-matrix", p, ranks.hh(m), h))
-                out.append(_rec("oracle.hhc-vs-matrix", p, ranks.hhc(m), c))
-        for m in range(feasible + 1, m_max + 1):
+        dims = bar_oracle_dims(n, m_max, field, cap)
+        if dims:
+            ranks = resolution_ranks(TermTables(n, field), len(dims) - 1)
+        for m, h, c in dims:
+            p = {"n": n, "m": m, "char": char}
+            out.append(_rec("oracle.hh", p, hh_dim_formula(n, m, char), h))
+            out.append(_rec("oracle.hhc", p, hhc_dim_formula(n, m, char), c))
+            out.append(_rec("oracle.hh-vs-matrix", p, ranks.hh(m), h))
+            out.append(_rec("oracle.hhc-vs-matrix", p, ranks.hhc(m), c))
+        for m in range(len(dims), m_max + 1):
             p = {"n": n, "m": m, "char": char}
             note = f"bar complex too large at cap {cap}"
             out.append(_rec("oracle.hh", p, None, None, "skip", note))
@@ -256,12 +255,13 @@ def _ring_records(ns, deg_max, char):
         out.append(_rec("ring.associativity", p, True,
                         verify_associativity(n, field, deg_max)))
         audits = presentation_audit(n, field, hhc)
+        top = (tuple(range(1, n + 1)), (0,) * n)
         for audit in audits:
             p = {"n": n, "degree": audit["degree"], "char": char}
             expected = audit["expected"]
             count = audit["count"]
             indep = audit["evaluations_independent"]
-            if indep and audit["degree"] == 0 and n % 2 == 1 \
+            if indep and audit["unreached"] == [top] \
                     and expected - count == 1:
                 out.append(_rec("ring.presentation", p, expected, count,
                                 "finding",
@@ -390,7 +390,8 @@ def _make_parser():
                             help="largest (co)homological degree")
         if with_deg:
             sp.add_argument("--deg-max", type=int, default=4, dest="deg_max",
-                            help="largest total degree for ring checks")
+                            help="largest total degree of the ring checks; "
+                            "the relations are checked in full at any value")
         if with_char:
             sp.add_argument("--char", type=int, default=0,
                             help="field characteristic: 0 or a prime")

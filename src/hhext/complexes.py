@@ -46,10 +46,6 @@ from .resolution import exponent_vectors, generator_terms
 DEFAULT_ORACLE_CAP = 50000
 
 
-class OracleInfeasibleError(Exception):
-    """Raised when the bar oracle would need a term beyond the size cap."""
-
-
 def chain_keys(n, m):
     """Every key (monomial indices, exponent vector) of the degree-m term."""
     return list(product(monomials(n), exponent_vectors(n, m)))
@@ -260,7 +256,9 @@ def resolution_ranks(tables, m_max):
 
 def verify_d_squared_zero(tables, m_max):
     """Consecutive chain and cochain differentials compose to zero for
-    every degree within m_max: applying both to any key gives 0."""
+    every degree within m_max >= 1: applying both to any key gives 0."""
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
     n, field, column = tables.n, tables.field, tables.column
     pairs = [(column(m, True), column(m + 1, True), m + 1)
              for m in range(1, m_max)]
@@ -485,19 +483,18 @@ def _bar_ranks(n, m_max, field):
 
 
 def bar_oracle_dims(n, m_max, field, cap=DEFAULT_ORACLE_CAP):
-    """Hochschild homology and cohomology dimensions up to m_max from the
-    reduced bar complex alone.  Returns a list of (m, homology dim,
-    cohomology dim).  Refuses to start if the largest term dimension
-    2^n (2^n - 1)^(m_max + 1) exceeds the cap.  The blocks are ranked in
-    shares on every CPU the process may use (``_bar_ranks``).
+    """Hochschild homology and cohomology dimensions from the reduced bar
+    complex alone, as a list of (m, homology dim, cohomology dim) for m up
+    to m_max or ``largest_feasible_degree(n, cap)``, whichever is smaller:
+    empty, with nothing built and nothing forked, when no degree fits under
+    the cap.  The blocks are ranked in shares on every CPU the process may
+    use (``_bar_ranks``).
     """
-    check_n(n)
-    worst = bar_chain_dim(n, m_max + 1)
-    if worst > cap:
-        raise OracleInfeasibleError(
-            f"bar complex dimension {worst} at degree {m_max + 1} "
-            f"exceeds the cap {cap}"
-        )
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
+    m_max = min(m_max, largest_feasible_degree(n, cap))
+    if m_max < 0:
+        return []
     ranks = _bar_ranks(n, m_max, field)
     # the ranks of the chain differentials leaving degree m and of the
     # cochain differentials entering it, both 0 at m = 0

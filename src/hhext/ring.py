@@ -9,9 +9,11 @@ multiplies the monomial parts in the exterior algebra and adds the
 exponent vectors (a convolution over all splittings).
 
 Away from characteristic 2 the single terms whose monomial degree has
-the parity of the cohomological degree form a basis of the classes; the
-records ring.basis-count and ring.basis-independent show it, the second
-by checking each such term against the coboundaries of its weight.
+the parity of the cohomological degree (and the top monomial in degree
+0 when n is odd) form a basis of the classes, ``cohomology_basis``,
+which the unit check and the presentation audit read too; the records
+ring.basis-count and ring.basis-independent show it, the second by
+checking each such term against the coboundaries of its weight.
 Questions about coboundaries split by the Z^n weight v = e - 1_idx,
 which the cochain differential keeps, and each is answered in the
 weight blocks it touches.
@@ -312,11 +314,18 @@ def _test_cocycle(n, m, field):
             if (c := field.of(1 + k % 2))}
 
 
-def _merge_pairs(n):
-    """The monomial index tuples and the table {(a, b): merge_signed(a, b)}
-    over every pair of them, built afresh on each call."""
+def _structure_inputs(n, field, total_deg_max):
+    """The monomial index tuples, the table {(a, b): merge_signed(a, b)}
+    over every pair of them, and ``_test_cocycle`` in each degree
+    0..total_deg_max, built afresh on each call; away from characteristic
+    2, and with at least degree 0 to check."""
+    if field.char == 2:
+        raise ValueError("use the characteristic-2 structure check instead")
+    if total_deg_max < 0:
+        raise ValueError("total_deg_max must be >= 0")
     mons = monomials(n)
-    return mons, {(a, b): merge_signed(a, b) for a in mons for b in mons}
+    return (mons, {(a, b): merge_signed(a, b) for a in mons for b in mons},
+            [_test_cocycle(n, m, field) for m in range(total_deg_max + 1)])
 
 
 def verify_graded_commutativity(n, field, total_deg_max):
@@ -324,16 +333,13 @@ def verify_graded_commutativity(n, field, total_deg_max):
 
     The sign rule is checked once on every pair of monomials, and cup
     itself on one test cocycle per degree for every such (s, t)."""
-    if field.char == 2:
-        raise ValueError("use the characteristic-2 structure check instead")
-    mons, pairs = _merge_pairs(n)
+    mons, pairs, cocycles = _structure_inputs(n, field, total_deg_max)
     for a, b in product(mons, repeat=2):
         ab, ba = pairs[a, b], pairs[b, a]
         if ba is not None:
             ba = ((-1) ** (len(a) * len(b)) * ba[0], ba[1])
         if ab != ba:
             return False
-    cocycles = [_test_cocycle(n, m, field) for m in range(total_deg_max + 1)]
     for s in range(total_deg_max + 1):
         for t in range(total_deg_max + 1 - s):
             a, b, sign = cocycles[s], cocycles[t], (-1) ** (s * t)
@@ -347,9 +353,7 @@ def verify_associativity(n, field, total_deg_max):
 
     The sign rule is checked once on every triple of monomials, and cup
     itself on one test cocycle per degree for every such degree triple."""
-    if field.char == 2:
-        raise ValueError("use the characteristic-2 structure check instead")
-    mons, pairs = _merge_pairs(n)
+    mons, pairs, cocycles = _structure_inputs(n, field, total_deg_max)
     for a, b, c in product(mons, repeat=3):
         ab, bc = pairs[a, b], pairs[b, c]
         left = ab and pairs[ab[1], c]
@@ -357,7 +361,6 @@ def verify_associativity(n, field, total_deg_max):
         if ((left and (ab[0] * left[0], left[1]))
                 != (right and (bc[0] * right[0], right[1]))):
             return False
-    cocycles = [_test_cocycle(n, m, field) for m in range(total_deg_max + 1)]
     for s in range(total_deg_max + 1):
         for t in range(total_deg_max + 1 - s):
             for u in range(total_deg_max + 1 - s - t):
@@ -369,17 +372,14 @@ def verify_associativity(n, field, total_deg_max):
 
 
 def verify_unital(n, field, total_deg_max):
-    """The degree-0 empty-monomial class is a two-sided unit on the basis
-    terms (on every single term in characteristic 2)."""
+    """The degree-0 empty-monomial class is a two-sided unit on every
+    class of ``cohomology_basis`` in degrees 0..total_deg_max."""
+    if total_deg_max < 0:
+        raise ValueError("total_deg_max must be >= 0")
     one = unit_class(n, field)
-    for m in range(total_deg_max + 1):
-        for key in chain_keys(n, m):
-            if field.char != 2 and not same_parity(len(key[0]), m):
-                continue
-            v = {key: field.one}
-            if cup(one, v, field) != v or cup(v, one, field) != v:
-                return False
-    return True
+    return all(cup(one, v, field) == v == cup(v, one, field)
+               for m in range(total_deg_max + 1)
+               for v in cohomology_basis(n, m, field))
 
 
 # ---------------------------------------------------------------------------
@@ -444,31 +444,31 @@ def presentation_audit(n, field, hhc):
     under both readings of the chain's starting index (from 1, and the
     strict variant from 2), and evaluate every normal form.
 
-    Evaluations must be nonzero single terms with distinct supports; that
-    makes them independent classes, so a matching count means the normal
-    forms form a basis in that degree.
+    Each evaluation must be a single term whose key is a key of
+    ``cohomology_basis(n, d, field)`` that no other evaluation reached;
+    that makes them independent classes, so a matching count means the
+    normal forms form a basis in that degree.  ``unreached`` lists, sorted,
+    the basis keys that no evaluation hit.
     """
     records = []
     unit, gens = unit_class(n, field), generators(n, field)
     for d, expected in enumerate(hhc):
         words = presentation_normal_forms(n, d)
         count = len(words)
-        keys = set()
-        clean = True
+        left = {key for v in cohomology_basis(n, d, field) for key in v}
+        clean = count == presentation_count(n, d, min_index=1)
         for w in words:
             val = evaluate_word(w, unit, gens, field)
-            key, c = next(iter(val.items()), ((), 0))
-            if (len(val) != 1 or not c or key in keys
-                    or not same_parity(len(key[0]), d)):
+            key = next(iter(val)) if len(val) == 1 else None
+            if key in left and val[key]:
+                left.remove(key)
+            else:
                 clean = False
-                break
-            keys.add(key)
-        if count != presentation_count(n, d, min_index=1):
-            clean = False
         records.append({
             "degree": d, "count": count,
             "strict_count": presentation_count(n, d, min_index=2),
-            "expected": expected, "evaluations_independent": clean})
+            "expected": expected, "evaluations_independent": clean,
+            "unreached": sorted(left)})
     return records
 
 

@@ -157,7 +157,9 @@ def test_criterion_06_independent_oracle():
         field = field_of_char(char)
         for n, m_max in ((2, 4), (3, 3)):
             ranks = resolution_ranks(TermTables(n, field), m_max)
-            for m, h, c in bar_oracle_dims(n, m_max, field):
+            dims = bar_oracle_dims(n, m_max, field)
+            ok = ok and len(dims) == m_max + 1
+            for m, h, c in dims:
                 ok = ok and h == ranks.hh(m)
                 ok = ok and h == hh_dim_formula(n, m, char)
                 ok = ok and c == ranks.hhc(m)

@@ -2,6 +2,8 @@
 benchmark's golden reports, in-process."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,8 @@ import pytest
 from hhext import cli
 from hhext.exactla import PRIME_BOUND
 
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "perfbench" / "golden"
 
 
 def run_cli(*args):
@@ -63,6 +66,28 @@ def test_verify_suites():
         assert r.returncode == 0, suite
         assert rep["summary"]["fail"] == 0, suite
         assert rep["records"], suite
+
+
+def readme_commands():
+    """The argv of every `hhext ...` line in the README's sh blocks."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.M | re.S)
+    return [shlex.split(line)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("hhext ")]
+
+
+def test_readme_examples_run(tmp_path):
+    """Every README example exits 0, run in-process with its report
+    written under tmp_path."""
+    commands = readme_commands()
+    assert len(commands) >= 6, commands
+    for i, argv in enumerate(commands):
+        if "--out" in argv:
+            i_out = argv.index("--out")
+            del argv[i_out:i_out + 2]
+        out = tmp_path / f"example{i}"
+        assert cli.main([*argv, "--out", str(out)]) == 0, argv
+        assert out.read_text(), argv
 
 
 def test_composite_zero_skips_at_degree_zero():

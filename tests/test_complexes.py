@@ -23,7 +23,6 @@ from hhext.formulas import (
     hhc_dim_formula,
 )
 from hhext.complexes import (
-    OracleInfeasibleError,
     TermTables,
     bar_chain_dim,
     bar_oracle_dims,
@@ -134,6 +133,13 @@ def test_d_squared_zero():
     for n in (2, 3):
         assert verify_d_squared_zero(TermTables(n, QQ), 4)
         assert verify_d_squared_zero(TermTables(n, GF(3)), 3)
+
+
+def test_d_squared_zero_rejects_degree_zero():
+    """At m_max = 0 no two differentials compose, so there is nothing to
+    check: the call raises rather than pass."""
+    with pytest.raises(ValueError):
+        verify_d_squared_zero(TermTables(2, QQ), 0)
 
 
 def test_computed_dims_frozen():
@@ -706,7 +712,9 @@ def test_dropped_bar_sign_breaks_the_oracle(monkeypatch, mutant):
     exec(source.replace(sign, sign.split(" * ")[1]), vars(complexes), namespace)
     monkeypatch.setattr(complexes, name, namespace[name])
     for field in (QQ, GF(3)):
-        for m, h, c in bar_oracle_dims(3, 2, field):
+        dims = bar_oracle_dims(3, 2, field)
+        assert len(dims) == 3
+        for m, h, c in dims:
             agrees = {"hh": h == hh_dim_formula(3, m, field.char),
                       "hhc": c == hhc_dim_formula(3, m, field.char)}
             assert not agrees.pop(side) or m == 0, (m, field)
@@ -725,17 +733,39 @@ def test_bar_oracle_char2_n2():
 
 def test_bar_oracle_agrees_with_small_complex():
     got = ranks(3, 2, QQ)
-    for m, h, c in bar_oracle_dims(3, 2, QQ):
+    dims = bar_oracle_dims(3, 2, QQ)
+    assert len(dims) == 3
+    for m, h, c in dims:
         assert (h, c) == (got.hh(m), got.hhc(m))
 
 
 def test_oracle_cap():
+    """The oracle stops at the last degree under the cap: at n = 3 and
+    cap 50 000 that is m = 3, whose largest term, degree 4, has 19 208
+    columns (degree 5 would need 134 456)."""
     assert largest_feasible_degree(2, 50000) == 7
     assert largest_feasible_degree(3, 50000) == 3
     assert largest_feasible_degree(4, 50000) == 1
-    with pytest.raises(OracleInfeasibleError) as exc:
-        bar_oracle_dims(3, 5, QQ, cap=50000)
-    assert "941192" in str(exc.value)
+    assert bar_chain_dim(3, 4) <= 50000 < bar_chain_dim(3, 5)
+    got = bar_oracle_dims(3, 5, QQ, cap=50000)
+    assert got == [(m, hh_dim_formula(3, m), hhc_dim_formula(3, m))
+                   for m in range(4)]
+
+
+def test_oracle_below_the_first_term_builds_nothing(monkeypatch):
+    """A cap below 2^n (2^n - 1), the largest term of degree 0, leaves no
+    degree to the oracle: it returns [] and never forks."""
+    def no_fork():
+        raise AssertionError("forked with no degree under the cap")
+    on_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    for n in (2, 3):
+        assert bar_oracle_dims(n, 3, QQ, cap=bar_chain_dim(n, 1) - 1) == []
+
+
+def test_oracle_rejects_a_negative_degree():
+    with pytest.raises(ValueError):
+        bar_oracle_dims(2, -1, QQ)
 
 
 def test_oracle_rejects_one_generator(monkeypatch):
@@ -806,14 +836,18 @@ def test_a_child_share_is_used(monkeypatch):
     monkeypatch.setattr(complexes, "keyed_matrix", lambda *args: (
         make if os.getpid() == parent else flipped)(*args))
     for field in (QQ, GF(3)):
+        dims = bar_oracle_dims(n, m_max, field)
+        assert len(dims) == m_max + 1
         assert any((h, c) != (hh_dim_formula(n, m, field.char),
                               hhc_dim_formula(n, m, field.char))
-                   for m, h, c in bar_oracle_dims(n, m_max, field)), field
+                   for m, h, c in dims), field
     monkeypatch.setattr(complexes, "keyed_matrix", make)
     for field in (QQ, GF(3)):
+        dims = bar_oracle_dims(n, m_max, field)
+        assert len(dims) == m_max + 1
         assert all((h, c) == (hh_dim_formula(n, m, field.char),
                               hhc_dim_formula(n, m, field.char))
-                   for m, h, c in bar_oracle_dims(n, m_max, field)), field
+                   for m, h, c in dims), field
 
 
 def _no_child_left():

@@ -62,6 +62,15 @@ def test_unit_class():
     assert verify_unital(2, QQ, 3)
 
 
+def test_structure_checks_reject_an_empty_degree_range():
+    """Below total degree 0 the unit, commutativity and associativity
+    checks would multiply nothing: each raises rather than pass."""
+    for check in (verify_unital, verify_graded_commutativity,
+                  verify_associativity):
+        with pytest.raises(ValueError):
+            check(2, QQ, -1)
+
+
 def test_cocycle_detection():
     """Parity-pure terms are cocycles; a lone impure term is not."""
     assert is_cocycle(generators(2, QQ)[1][1, 2], QQ)
@@ -326,6 +335,24 @@ def test_unit_blind_cup_fails_ring_unital_at_the_cli(tmp_path, monkeypatch):
     true_cup = ring.cup
     monkeypatch.setattr(ring, "cup", lambda a, b, field: (
         {} if unit in (a, b) else true_cup(a, b, field)))
+    code, records = _cli_ring(tmp_path)
+    assert code == 1
+    assert {rec["id"] for rec in records if rec["status"] == "fail"} == {
+        "ring.unital"}
+
+
+def test_unit_blind_to_the_top_class_fails_ring_unital_at_the_cli(
+        tmp_path, monkeypatch):
+    """A cup that returns zero for the unit times the degree-0 class of
+    the top monomial, a basis class only because n = 3 is odd, fails
+    `ring.unital`, and only it: `hhext ring --n 3 --deg-max 2` exits 1.
+    The unit check reads its classes from cohomology_basis, so it sees
+    that class too."""
+    unit, top = unit_class(3, QQ), {((1, 2, 3), (0, 0, 0)): 1}
+    assert top in cohomology_basis(3, 0, QQ)
+    true_cup = ring.cup
+    monkeypatch.setattr(ring, "cup", lambda a, b, field: (
+        {} if (a, b) == (unit, top) else true_cup(a, b, field)))
     code, records = _cli_ring(tmp_path)
     assert code == 1
     assert {rec["id"] for rec in records if rec["status"] == "fail"} == {
@@ -606,6 +633,37 @@ def test_presentation_audit_flags_odd_n_degree_zero():
     assert deg0["count"] == 4 and deg0["expected"] == 5
     assert deg0["evaluations_independent"]
     assert all(rec["count"] == rec["expected"] for rec in records[1:])
+
+
+@pytest.mark.parametrize("n, deg_max", [(3, 3), (4, 2), (5, 2)])
+def test_presentation_audit_names_the_unreached_classes(n, deg_max):
+    """The normal forms reach every basis class but one: the degree-0
+    class of the top monomial when n is odd.  Every evaluation is a
+    distinct basis term in every degree."""
+    top = (tuple(range(1, n + 1)), (0,) * n)
+    records = presentation_audit(n, QQ, hhc(n, deg_max))
+    assert [rec["degree"] for rec in records] == list(range(deg_max + 1))
+    assert all(rec["evaluations_independent"] for rec in records)
+    assert records[0]["unreached"] == ([top] if n % 2 else [])
+    assert all(rec["unreached"] == [] for rec in records[1:])
+
+
+def test_presentation_audit_rejects_a_term_outside_the_basis(monkeypatch):
+    """An evaluation off the basis, or one that repeats a class already
+    reached, makes the degree dependent and leaves its class unreached."""
+    true_evaluate = ring.evaluate_word
+
+    def planted(word, unit, gens, field):
+        if word == ((0, (1, 2)),):  # x_1 x_2 moved off the basis
+            return {((1, 2), (1, 0, 0)): field.one}
+        if word == ((0, (1, 3)),):  # x_1 x_3 made a copy of x_2 x_3
+            word = ((0, (2, 3)),)
+        return true_evaluate(word, unit, gens, field)
+    monkeypatch.setattr(ring, "evaluate_word", planted)
+    deg0 = presentation_audit(3, QQ, hhc(3, 0))[0]
+    assert not deg0["evaluations_independent"]
+    assert deg0["unreached"] == [((1, 2), (0, 0, 0)), ((1, 2, 3), (0, 0, 0)),
+                                 ((1, 3), (0, 0, 0))]
 
 
 def test_evaluate_word(monkeypatch):

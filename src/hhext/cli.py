@@ -23,7 +23,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .exactla import _is_prime, field_of_char
+from .exactla import field_of_char
 from .exterior import commutator_quotient_dim
 from .formulas import (
     binomial_sum_identity,
@@ -90,8 +90,8 @@ def _cyclic_dim(m, hh_dim):
     return acc + (1 if m % 2 else 0)
 
 
-def _dims_records(ns, m_max, char):
-    field = field_of_char(char)
+def _dims_records(ns, m_max, field):
+    char = field.char
     out = []
     for n in ns:
         ranks = resolution_ranks(TermTables(n, field), m_max)
@@ -134,8 +134,8 @@ def _resolution_records(ns, m_max):
     return out
 
 
-def _ranks_records(ns, m_max, char):
-    field = field_of_char(char)
+def _ranks_records(ns, m_max, field):
+    char = field.char
     out = []
     for n in ns:
         tables = TermTables(n, field)
@@ -188,8 +188,8 @@ def _identities_records(ns, m_max):
     return out
 
 
-def _oracle_records(ns, m_max, char, cap):
-    field = field_of_char(char)
+def _oracle_records(ns, m_max, field, cap):
+    char = field.char
     out = []
     for n in ns:
         dims = bar_oracle_dims(n, m_max, field, cap)
@@ -225,8 +225,8 @@ def _basis_records(n, m, field, dim):
                  verify_cohomology_basis(n, m, field, basis, dim))]
 
 
-def _ring_records(ns, deg_max, char):
-    field = field_of_char(char)
+def _ring_records(ns, deg_max, field):
+    char = field.char
     out = []
     for n in ns:
         if char == 2:
@@ -439,14 +439,10 @@ def main(argv=None):
         args.ns = list(range(2, args.n_max + 1))
     else:
         args.ns = [2, 3]
-    char = getattr(args, "char", 0)
-    if char != 0:
-        try:
-            prime = _is_prime(char)
-        except ValueError as exc:
-            parser.error(f"--char: {exc}")
-        if not prime:
-            parser.error("--char must be 0 or a prime")
+    try:
+        field = field_of_char(getattr(args, "char", 0))
+    except ValueError as exc:
+        parser.error(f"--char: {exc}")
     if getattr(args, "m_max", 0) < 0:
         parser.error("--m-max must be >= 0")
     if getattr(args, "deg_max", 0) < 0:
@@ -460,23 +456,23 @@ def main(argv=None):
             parser.error(f"--out: {exc}")
 
     if args.command == "dims":
-        records = _dims_records(args.ns, args.m_max, char)
+        records = _dims_records(args.ns, args.m_max, field)
     elif args.command == "verify":
         records = []
         suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
         if "resolution" in suites:
             records += _resolution_records(args.ns, args.m_max)
         if "ranks" in suites:
-            records += _ranks_records(args.ns, args.m_max, char)
+            records += _ranks_records(args.ns, args.m_max, field)
         if "identities" in suites:
             records += _identities_records(args.ns, args.m_max)
         if "oracle" in suites:
-            records += _oracle_records(args.ns, args.m_max, char,
+            records += _oracle_records(args.ns, args.m_max, field,
                                        args.oracle_cap)
         if "ring" in suites:
-            records += _ring_records(args.ns, args.deg_max, char)
+            records += _ring_records(args.ns, args.deg_max, field)
     elif args.command == "ring":
-        records = _ring_records(args.ns, args.deg_max, char)
+        records = _ring_records(args.ns, args.deg_max, field)
     else:
         records = _cyclic_records(args.ns, args.m_max)
 

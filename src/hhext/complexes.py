@@ -14,7 +14,7 @@ rule of its table, which feeds ``exactla.apply`` and
 ``exactla.keyed_matrix``.  Ranks never need a global basis: both
 differentials are block diagonal by a Z^n weight, 1_idx + e or
 e - 1_idx, and each weight block is the keyed matrix of the column rule
-with its rows named by their monomial.
+with its rows named by their full target key.
 Permuting the generators, an automorphism sending g(e) to g(sigma e),
 carries each weight block onto the blocks of its S_n orbit by a signed
 permutation, so a rank is an orbit sum over nonincreasing weights.  As
@@ -134,9 +134,6 @@ class TermTables:
 # cochain differential preserves v = e - 1_idx (``key_weight``), so both
 # matrices are block diagonal by weight and their ranks are sums of block
 # ranks.  Inside one block every column has the same monomial degree.
-# Inside the block of w a target (t, e') has 1_t + e' = w (chain) or
-# e' - 1_t = w (cochain), so its monomial t alone names it.  No two keys
-# of a block share a monomial.
 
 
 def _degrees(table, n):
@@ -199,18 +196,14 @@ def weight_blocks(tables, m, chain):
     plus a partition of m + k - s.  By ``weight_domain`` the cochain
     blocks of monomial degree j are these at k = n - j, less 1, and the
     shift keeps each orbit.  Each block is the ``keyed_matrix`` of its
-    domain and the table's column rule with every row named by its
-    monomial, which names the target inside one block."""
+    domain and the column rule ``tables.column(m, chain)``, its rows named
+    by their full target key."""
     low = 1 if chain else 0
     if m < low:
         raise ValueError(f"m must be >= {low}")
-    n, field, table = tables.n, tables.field, tables(m, chain)
-    step = table.step
-
-    def column(key):
-        idx, e = key
-        return {t: v for h, t, v in table[idx] if e[h - 1] + step >= 0}
-    for j in _degrees(table, n):
+    n, field = tables.n, tables.field
+    column = tables.column(m, chain)
+    for j in _degrees(tables(m, chain), n):
         k = j if chain else n - j
         for s in range(k, min(n, m + k) + 1):
             for p in _partitions(m + k - s, s, m):
@@ -265,7 +258,7 @@ def verify_d_squared_zero(tables, m_max):
     pairs += [(column(m, False), column(m - 1, False), m - 1)
               for m in range(1, m_max + 1)]
     return not any(
-        apply(outer, apply(inner, {key: field.one}, field), field)
+        apply(outer, apply(inner, {key: 1}, field), field)
         for outer, inner, d in pairs for key in chain_keys(n, d))
 
 

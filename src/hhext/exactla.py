@@ -1,12 +1,14 @@
 """Exact sparse linear algebra over Q and prime fields F_p.
 
-Scalars are plain Python values.  Over Q a scalar is an int when it is
-integral and a reduced ``fractions.Fraction`` otherwise; over F_p it is
-an int in [0, p).  In both a scalar is zero exactly when it is falsy.
-Scalars combine with ``+ - *``; ``field.of`` normalises the result (an
-integral Fraction to its numerator over Q, reduction mod p over F_p) and
-``field.inv`` inverts a nonzero scalar, so the elimination code is
-field-agnostic.  No floating point anywhere.
+A field is its characteristic ``char``, a normaliser ``of`` and an
+inverse ``inv``.  Scalars are plain Python values.  Over Q a scalar is an
+int when it is integral and a reduced ``fractions.Fraction`` otherwise;
+over F_p it is an int in [0, p).  In both a scalar is zero exactly when
+it is falsy, and 0 and 1 are the ints 0 and 1.  Scalars combine with
+``+ - *``; ``field.of`` normalises the result (an integral Fraction to
+its numerator over Q, reduction mod p over F_p) and ``field.inv``
+inverts a nonzero scalar, so the elimination code is field-agnostic.  No
+floating point anywhere.
 
 ``rank`` is the one elimination routine; a span question is asked as a
 rank difference (``rank_gain``).  It eliminates columns in order of fill,
@@ -65,63 +67,41 @@ class RationalField:
             raise TypeError(f"a scalar is an int or a Fraction, not {x!r}")
         return x.numerator if x.denominator == 1 else x
 
-    zero = 0
-    one = 1
-
     def inv(self, a):
         return self.of(Fraction(1, a))
 
     def __repr__(self):
         return "QQ"
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
 
-    def __hash__(self):
-        return hash(("field", 0))
-
-
-class PrimeField:
+class GF:
     """The field F_p for prime p. Scalars are int residues in [0, p)."""
 
     def __init__(self, p):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-        self.p = p
         self.char = p
-        self.zero = 0
-        self.one = 1 % p
 
     def of(self, x):
         if type(x) is int:
-            return x % self.p
+            return x % self.char
         if isinstance(x, Fraction):
-            return x.numerator * pow(x.denominator, -1, self.p) % self.p
+            return x.numerator * pow(x.denominator, -1, self.char) % self.char
         raise TypeError(f"a scalar is an int or a Fraction, not {x!r}")
 
     def inv(self, a):
-        return pow(a, -1, self.p)
+        return pow(a, -1, self.char)
 
     def __repr__(self):
-        return f"GF({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("field", self.p))
+        return f"GF({self.char})"
 
 
 QQ = RationalField()
 
 
-def GF(p):
-    """The prime field F_p; fields compare and hash by p."""
-    return PrimeField(p)
-
-
 def field_of_char(char):
-    """Field of the given characteristic: 0 gives Q, a prime p gives F_p."""
+    """Field of the given characteristic: 0 gives Q, a prime p gives F_p;
+    anything else raises ValueError."""
     return QQ if char == 0 else GF(char)
 
 
@@ -175,11 +155,11 @@ def keyed_matrix(domain, column, field):
 def apply(column, vec, field):
     """Image of the keyed vector {key: scalar} under the linear map with
     the given column rule, as {target key: nonzero scalar}."""
-    of, zero = field.of, field.zero
+    of = field.of
     out = {}
     for key, c in vec.items():
         for target, v in column(key).items():
-            acc = of(out.get(target, zero) + c * v)
+            acc = of(out.get(target, 0) + c * v)
             if not acc:
                 out.pop(target, None)
             else:
@@ -197,7 +177,7 @@ def rank(M):
     then its lowest index.  A column with no live rows is skipped.
     """
     F = M.field
-    of, zero = F.of, F.zero
+    of = F.of
     rows = [dict(rd) for rd in M.entries]
     col_rows = {}
     for i, rd in enumerate(rows):
@@ -227,7 +207,7 @@ def rank(M):
                 ri = rows[i]
                 factor = of(ri.pop(c) * pinv)
                 for cc, v in prow.items():
-                    s = of(ri.get(cc, zero) - factor * v)
+                    s = of(ri.get(cc, 0) - factor * v)
                     if s:
                         if cc not in ri:
                             col_rows[cc].add(i)

@@ -69,10 +69,10 @@ def cochain(n, m, field, terms):
 
 def add(a, b, field, c=1):
     """The cochain a + c*b, storing no zero; neither input is changed."""
-    of, zero = field.of, field.zero
+    of = field.of
     out = dict(a)
     for key, v in b.items():
-        v = of(out.get(key, zero) + c * v)
+        v = of(out.get(key, 0) + c * v)
         if v:
             out[key] = v
         else:
@@ -80,9 +80,9 @@ def add(a, b, field, c=1):
     return out
 
 
-def unit_class(n, field):
+def unit_class(n):
     """The multiplicative unit: the empty monomial in degree 0."""
-    return {((), (0,) * n): field.one}
+    return {((), (0,) * n): 1}
 
 
 def apply_differential(vec, field):
@@ -164,7 +164,7 @@ def cohomology_basis(n, m, field):
         raise ValueError("characteristic 2 has no parity basis; every "
                          "cochain is a cocycle there")
     es = exponent_vectors(n, m)
-    return [{(idx, e): field.one} for idx in monomials(n)
+    return [{(idx, e): 1} for idx in monomials(n)
             if same_parity(len(idx), m) or (m == 0 and len(idx) == n)
             for e in es]
 
@@ -201,12 +201,12 @@ def _letter_keys(n):
             tuple(combinations_with_replacement(rng, 2)))
 
 
-def generators(n, field):
+def generators(n):
     """Every generator once, in three dicts by degree keyed by its letter's
     index pair: x_i x_j in degree 0, x_p against exponent q in degree 1,
     the empty monomial against s, t in degree 2.  cup never changes them."""
     def letter(idx, *hs):
-        return {(idx, tuple(map(hs.count, range(1, n + 1)))): field.one}
+        return {(idx, tuple(map(hs.count, range(1, n + 1)))): 1}
     k0, k1, k2 = _letter_keys(n)
     return ({(i, j): letter((i, j)) for i, j in k0},
             {(p, q): letter((p,), q) for p, q in k1},
@@ -281,7 +281,7 @@ def verify_ring_relations(n, field):
     each word the cup product of its letters from ``generators``, must be
     the zero class; failures lists the index tuples of those that are not.
     Each distinct word is evaluated once per degree pair of families."""
-    unit, gens = unit_class(n, field), generators(n, field)
+    unit, gens = unit_class(n), generators(n)
     words, pair = {}, None
     stats = {fid: {"family": fid, "instances": 0, "failures": []}
              for fid in RELATION_FAMILIES}
@@ -376,7 +376,7 @@ def verify_unital(n, field, total_deg_max):
     class of ``cohomology_basis`` in degrees 0..total_deg_max."""
     if total_deg_max < 0:
         raise ValueError("total_deg_max must be >= 0")
-    one = unit_class(n, field)
+    one = unit_class(n)
     return all(cup(one, v, field) == v == cup(v, one, field)
                for m in range(total_deg_max + 1)
                for v in cohomology_basis(n, m, field))
@@ -451,7 +451,7 @@ def presentation_audit(n, field, hhc):
     the basis keys that no evaluation hit.
     """
     records = []
-    unit, gens = unit_class(n, field), generators(n, field)
+    unit, gens = unit_class(n), generators(n)
     for d, expected in enumerate(hhc):
         words = presentation_normal_forms(n, d)
         count = len(words)
@@ -493,7 +493,7 @@ def char2_ring_check(n, deg_max, field):
     tables = TermTables(n, field)
     columns = [(tables.column(m, False), m) for m in range(deg_max + 1)]
     columns += [(tables.column(m, True), m) for m in range(1, deg_max + 2)]
-    diffs_vanish = not any(apply(column, {key: field.one}, field)
+    diffs_vanish = not any(apply(column, {key: 1}, field)
                            for column, m in columns
                            for key in chain_keys(n, m))
     ranks = resolution_ranks(tables, deg_max)
@@ -501,22 +501,21 @@ def char2_ring_check(n, deg_max, field):
                     for m in range(deg_max + 1))
     product_ok = True
     commutative = True
-    one = field.one
     for s in range(deg_max + 1):
         for t in range(deg_max + 1 - s):
             es = exponent_vectors(n, t)
-            right = [(l2, dict.fromkeys([(l2, e2) for e2 in es], one))
+            right = [(l2, dict.fromkeys([(l2, e2) for e2 in es], 1))
                      for l2 in monomials(n)]
             for l1, e1 in chain_keys(n, s):
                 set1 = set(l1)
-                a = {(l1, e1): one}
+                a = {(l1, e1): 1}
                 sums = [tuple(map(operator.add, e1, e2)) for e2 in es]
                 for l2, b in right:
                     got = cup(a, b, field)
                     want = {}
                     if set1.isdisjoint(l2):
                         merged = tuple(sorted(l1 + l2))
-                        want = dict.fromkeys([(merged, e) for e in sums], one)
+                        want = dict.fromkeys([(merged, e) for e in sums], 1)
                     if got != want:
                         product_ok = False
                     if got != cup(b, a, field):

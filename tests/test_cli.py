@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from hhext import cli
+from hhext.complexes import TermTables
 from hhext.exactla import PRIME_BOUND
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -163,6 +164,13 @@ def test_usage_errors():
     assert run_cli("verify", "--char", "4").returncode == 2
     assert run_cli("dims", "--n", "2", "--n-max", "3").returncode == 2
     assert run_cli().returncode == 2
+    small = ("--n", "2", "--m-max", "1", "--no-timestamp")
+    for char in ("1", "-3"):
+        assert run_cli("dims", *small, "--char", char).returncode == 2, char
+    assert run_cli("dims", "--n-max", "1").returncode == 2
+    assert run_cli("dims", "--n", "2", "--m-max", "-1").returncode == 2
+    assert run_cli("cyclic", "--n", "2", "--m-max", "-1").returncode == 2
+    assert run_cli("dims", *small, "--char", "0").returncode == 0
 
 
 @pytest.mark.parametrize("where", ("missing-directory", "directory"))
@@ -199,6 +207,31 @@ def test_large_prime_char():
     assert "0 failed" in r.stdout
     assert run_cli(*args, str(2 ** 61 + 1)).returncode == 2
     assert run_cli(*args, str(PRIME_BOUND + 2)).returncode == 2
+
+
+def test_unguarded_chain_column_fails_dims_hh(tmp_path, monkeypatch):
+    """The chain column rule drops an entry that would take an exponent
+    below 0.  Without that guard ``dims`` fails every dims.hh record (and
+    the cyclic ones built on them) at n = 3: its blocks read the one
+    column rule, ``TermTables.column``."""
+    def unguarded(self, m, chain):
+        table = self(m, chain)
+        step = table.step
+
+        def column(key):
+            idx, e = key
+            return {(t, e[:h - 1] + (e[h - 1] + step,) + e[h:]): v
+                    for h, t, v in table[idx]}
+        return column
+    monkeypatch.setattr(TermTables, "column", unguarded)
+    out = tmp_path / "report.json"
+    assert cli.main(["dims", "--n", "3", "--m-max", "3", "--format", "json",
+                     "--no-timestamp", "--out", str(out)]) == 1
+    records = json.loads(out.read_text())["records"]
+    failed = {(r["id"], r["params"]["m"]) for r in records
+              if r["status"] == "fail"}
+    assert failed == {(rid, m) for rid in ("dims.hh", "dims.cyclic")
+                      for m in range(4)}
 
 
 def test_timestamp_present_by_default():

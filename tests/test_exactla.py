@@ -37,7 +37,7 @@ def test_rational_field_ops():
     assert QQ.of(2) == Fraction(2)
     assert QQ.of(Fraction(1, 3) + Fraction(1, 6)) == Fraction(1, 2)
     assert QQ.inv(Fraction(3, 7)) == Fraction(7, 3)
-    assert QQ.of(-QQ.one) == Fraction(-1)
+    assert QQ.of(-1) == Fraction(-1)
     # an int inverts to a Fraction, never to a float
     assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
     assert QQ.char == 0
@@ -79,7 +79,20 @@ def test_is_prime_miller_rabin():
 
 def test_field_of_char():
     assert field_of_char(0) is QQ
-    assert field_of_char(5) == GF(5)
+    assert field_of_char(5).char == 5
+    for char in (1, 4, -3):
+        with pytest.raises(ValueError):
+            field_of_char(char)
+
+
+def test_a_field_is_char_of_and_inv():
+    """Neither field defines a second name for 0 or 1, nor an equality
+    or a hash of its own: scalars are plain ints and Fractions, and
+    nothing compares or keys fields."""
+    for field in (QQ, GF(5)):
+        own = set(vars(type(field))) | set(vars(field))
+        assert not own & {"zero", "one", "__eq__", "__hash__"}, field
+        assert {"char", "of", "inv"} <= own, field
 
 
 def test_field_of_converts_scalars():
@@ -90,7 +103,6 @@ def test_field_of_converts_scalars():
     assert QQ.of(f) is f
     assert QQ.of(3) == 3 and type(QQ.of(3)) is int
     assert QQ.of(Fraction(4, 2)) == 2 and type(QQ.of(Fraction(4, 2))) is int
-    assert type(QQ.zero) is type(QQ.one) is int
     assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
     assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
     assert GF(3).of(-1) == 2

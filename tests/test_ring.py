@@ -45,10 +45,10 @@ from hhext.ring import (
 
 
 def test_cup_single_terms():
-    V = generators(2, QQ)[1]
+    V = generators(2)[1]
     a, b = V[1, 1], V[2, 1]
     prod = cup(a, b, QQ)
-    assert prod == {((1, 2), (2, 0)): QQ.one}
+    assert prod == {((1, 2), (2, 0)): 1}
     # swapping the monomials flips the sign
     assert cup(b, a, QQ) == {((1, 2), (2, 0)): QQ.of(-1)}
     # a repeated generator dies
@@ -56,8 +56,8 @@ def test_cup_single_terms():
 
 
 def test_unit_class():
-    one = unit_class(3, QQ)
-    g = generators(3, QQ)[2][1, 3]
+    one = unit_class(3)
+    g = generators(3)[2][1, 3]
     assert cup(one, g, QQ) == g and cup(g, one, QQ) == g
     assert verify_unital(2, QQ, 3)
 
@@ -73,14 +73,14 @@ def test_structure_checks_reject_an_empty_degree_range():
 
 def test_cocycle_detection():
     """Parity-pure terms are cocycles; a lone impure term is not."""
-    assert is_cocycle(generators(2, QQ)[1][1, 2], QQ)
-    impure = cochain(2, 1, QQ, {((), (1, 0)): QQ.one})
+    assert is_cocycle(generators(2)[1][1, 2], QQ)
+    impure = cochain(2, 1, QQ, {((), (1, 0)): 1})
     assert not is_cocycle(impure, QQ)
 
 
 def _coboundary(n, m, key, field=QQ):
     """The coboundary of one degree-(m - 1) key, nonzero by assertion."""
-    cob = apply_differential(cochain(n, m - 1, field, {key: field.one}), field)
+    cob = apply_differential(cochain(n, m - 1, field, {key: 1}), field)
     assert cob
     return cob
 
@@ -88,7 +88,7 @@ def _coboundary(n, m, key, field=QQ):
 def test_classes_equal_modulo_coboundary():
     """A class shifted by a coboundary equals the class: the shift is the
     opposite-parity part of the shifted cocycle, and it is a coboundary."""
-    v = generators(2, QQ)[1][1, 1]
+    v = generators(2)[1][1, 1]
     cob = _coboundary(2, 1, ((1,), (0, 0)))
     shifted = add(v, cob, QQ)
     assert shifted != v
@@ -99,13 +99,13 @@ def test_classes_equal_modulo_coboundary():
 def test_classes_unequal_off_coboundaries():
     """Two cochains are unequal classes when their difference is a cocycle
     but no coboundary, and when it is no cocycle at all."""
-    V = generators(2, QQ)[1]
+    V = generators(2)[1]
     v, w = V[1, 1], V[2, 1]
     assert is_cocycle(add(w, v, QQ, -1), QQ) and not classes_equal(v, w, QQ)
     # the same difference, with a coboundary added on top
     cob = _coboundary(2, 1, ((1,), (0, 0)))
     assert not classes_equal(add(v, cob, QQ), w, QQ)
-    impure = cochain(2, 1, QQ, {((), (1, 0)): QQ.one})
+    impure = cochain(2, 1, QQ, {((), (1, 0)): 1})
     assert not is_cocycle(impure, QQ)
     assert not classes_equal(add(v, impure, QQ), v, QQ)
     assert not classes_equal(impure, {}, QQ)
@@ -193,7 +193,7 @@ def test_cohomology_basis_check_rejects_a_non_cocycle():
     n, m = 3, 2
     dim = hhc(n, m)[m]
     basis = cohomology_basis(n, m, QQ)
-    impure = cochain(n, m, QQ, {((1,), (0, 1, 1)): QQ.one})
+    impure = cochain(n, m, QQ, {((1,), (0, 1, 1)): 1})
     assert not is_cocycle(impure, QQ)
     assert not verify_cohomology_basis(n, m, QQ, [impure] + basis[1:], dim)
 
@@ -331,7 +331,7 @@ def test_unit_blind_cup_fails_ring_unital_at_the_cli(tmp_path, monkeypatch):
     `ring.unital`, and only it: `hhext ring --n 3 --deg-max 2` exits 1.
     No other check multiplies by the unit; the presentation audit takes
     the unit only as the empty word's value."""
-    unit = unit_class(3, QQ)
+    unit = unit_class(3)
     true_cup = ring.cup
     monkeypatch.setattr(ring, "cup", lambda a, b, field: (
         {} if unit in (a, b) else true_cup(a, b, field)))
@@ -348,7 +348,7 @@ def test_unit_blind_to_the_top_class_fails_ring_unital_at_the_cli(
     `ring.unital`, and only it: `hhext ring --n 3 --deg-max 2` exits 1.
     The unit check reads its classes from cohomology_basis, so it sees
     that class too."""
-    unit, top = unit_class(3, QQ), {((1, 2, 3), (0, 0, 0)): 1}
+    unit, top = unit_class(3), {((1, 2, 3), (0, 0, 0)): 1}
     assert top in cohomology_basis(3, 0, QQ)
     true_cup = ring.cup
     monkeypatch.setattr(ring, "cup", lambda a, b, field: (
@@ -400,7 +400,7 @@ def test_relation_elements_are_sums_of_letter_words():
     and deg22.1 at (i, j) = (s, t) and deg22.2 to .5 on the diagonal; no
     family whose two sides differ in their letters' degrees has one."""
     n = 3
-    gens = generators(n, QQ)
+    gens = generators(n)
     last, empty = {}, set()
     for fid, (i, j, s, t), element in relation_instances(n):
         assert (i, j, s, t) > last.get(fid, ())
@@ -453,7 +453,7 @@ def _mutant_cup(n, drop_sign=False, square_left=False):
                 if res[0] < 0 and not drop_sign:
                     v = -v
                 key = (res[1], tuple(x + y for x, y in zip(e1, e2)))
-                out[key] = F.of(out.get(key, F.zero) + v)
+                out[key] = F.of(out.get(key, 0) + v)
         return cochain(n, _degree(a) + _degree(b), F, out)
     return mutant
 
@@ -503,8 +503,8 @@ def _reference_cup(n, m, a, b, F):
             if sign < 0:
                 v = -v
             key = (merged, e)
-            acc = F.of(out.get(key, F.zero) + v)
-            if acc == F.zero:
+            acc = F.of(out.get(key, 0) + v)
+            if acc == 0:
                 out.pop(key, None)
             else:
                 out[key] = acc
@@ -515,7 +515,7 @@ def _reference_combination(n, m, a, b, c, F):
     """a + c * b, key by key."""
     c = F.of(c)
     return cochain(n, m, F, {
-        k: F.of(a.get(k, F.zero) + c * b.get(k, F.zero))
+        k: F.of(a.get(k, 0) + c * b.get(k, 0))
         for k in a.keys() | b.keys()})
 
 
@@ -546,7 +546,7 @@ def _cochain_pairs(draw):
     e = draw(st.sampled_from(exponent_vectors(n, s)))
     a = draw(_cochains(n, s, field, [
         (idx, e) for idx in monomials(n) if len(idx) % 2]))
-    shift = {draw(st.sampled_from(chain_keys(n, s))): field.one}
+    shift = {draw(st.sampled_from(chain_keys(n, s))): 1}
     b = add({}, a, field, draw(st.sampled_from((1, -1))))
     return field, n, s, s, a, add(b, cochain(n, s, field, shift), field)
 
@@ -601,7 +601,7 @@ def test_values_over_q_are_ints_or_proper_fractions(data, c):
 
 def test_specific_anticommutation():
     """Odd classes anticommute: both orders of two degree-1 classes."""
-    V = generators(3, QQ)[1]
+    V = generators(3)[1]
     a, b = V[1, 2], V[3, 1]
     assert cup(a, b, QQ) == add({}, cup(b, a, QQ), QQ, -1)
 
@@ -655,7 +655,7 @@ def test_presentation_audit_rejects_a_term_outside_the_basis(monkeypatch):
 
     def planted(word, unit, gens, field):
         if word == ((0, (1, 2)),):  # x_1 x_2 moved off the basis
-            return {((1, 2), (1, 0, 0)): field.one}
+            return {((1, 2), (1, 0, 0)): 1}
         if word == ((0, (1, 3)),):  # x_1 x_3 made a copy of x_2 x_3
             word = ((0, (2, 3)),)
         return true_evaluate(word, unit, gens, field)
@@ -670,7 +670,7 @@ def test_evaluate_word(monkeypatch):
     """A word is the cup product of its letters from the first on: one
     cup fewer than letters, none for a single letter; the empty word is
     the unit, which is never multiplied in."""
-    unit, gens = unit_class(2, QQ), generators(2, QQ)
+    unit, gens = unit_class(2), generators(2)
     calls = []
 
     def counted(a, b, field):
@@ -679,10 +679,10 @@ def test_evaluate_word(monkeypatch):
 
     monkeypatch.setattr(ring, "cup", counted)
     word = ((0, (1, 2)), (2, (1, 1)))
-    assert evaluate_word(word, unit, gens, QQ) == {((1, 2), (2, 0)): QQ.one}
+    assert evaluate_word(word, unit, gens, QQ) == {((1, 2), (2, 0)): 1}
     assert calls == [False]
     assert evaluate_word(word[:1], unit, gens, QQ) == gens[0][1, 2]
-    assert evaluate_word((), unit, gens, QQ) == unit_class(2, QQ)
+    assert evaluate_word((), unit, gens, QQ) == unit_class(2)
     assert calls == [False]
 
 
@@ -696,7 +696,7 @@ def test_generators_are_the_letters():
     def e(*hs):
         return tuple(sum(h == k for h in hs) for k in range(1, n + 1))
 
-    U, V, W = generators(n, F)
+    U, V, W = generators(n)
     assert U == {(i, j): {((i, j), e()): 1}
                  for i in range(1, n + 1) for j in range(i + 1, n + 1)}
     assert V == {(p, q): {((p,), e(q)): 1}

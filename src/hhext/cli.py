@@ -24,7 +24,6 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .exactla import field_of_char
-from .exterior import commutator_quotient_dim
 from .formulas import (
     binomial_sum_identity,
     chain_rank_closed_form,
@@ -38,14 +37,15 @@ from .formulas import (
 )
 from .complexes import (
     DEFAULT_ORACLE_CAP,
-    TermTables,
     bar_oracle_dims,
-    chain_dim,
-    resolution_ranks,
-    verify_d_squared_zero,
+    commutator_quotient_dim,
 )
 from .resolution import (
+    TermTables,
+    chain_dim,
     observed_coefficients,
+    resolution_ranks,
+    verify_d_squared_zero,
     verify_delta_squared_zero,
     verify_generator_space_dim,
     verify_left_right,

@@ -5,14 +5,13 @@ over {1..n}, written as index tuples (t1, ..., ti); multiplication is by
 sorted insertion with a sign counting the transpositions needed.  Signs
 are computed by inversion counting, never by term rewriting.  The
 standing assumption n >= 2 is enforced everywhere; n = 1 is rejected.
+It imports nothing of hhext.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from itertools import combinations, product
-
-from .exactla import keyed_matrix, rank
+from itertools import combinations
 
 
 def check_n(n):
@@ -44,24 +43,3 @@ def merge_signed(a, b):
             return None
         inversions += len(a) - k
     return -1 if inversions & 1 else 1, tuple(sorted(a + b))
-
-
-def commutator(a, b, field):
-    """The commutator ab - ba of two monomials, as {monomial: scalar}
-    with no zero terms."""
-    out = {}
-    for x, y, sign in ((a, b, 1), (b, a, -1)):
-        res = merge_signed(x, y)
-        if res is not None:
-            out[res[1]] = out.get(res[1], 0) + sign * res[0]
-    out = {mono: field.of(c) for mono, c in out.items()}
-    return {mono: c for mono, c in out.items() if c}
-
-
-def commutator_quotient_dim(n, field):
-    """dim of the quotient by the commutator subspace: the codimension of
-    the span of all commutators over basis pairs.
-    """
-    pairs = list(product(monomials(n), repeat=2))
-    M = keyed_matrix(pairs, lambda p: commutator(*p, field), field)
-    return 2 ** n - rank(M)

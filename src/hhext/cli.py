@@ -52,7 +52,6 @@ from .resolution import (
     verify_relation_window_membership,
 )
 from .ring import (
-    char2_ring_check,
     cohomology_basis,
     presentation_audit,
     verify_associativity,
@@ -229,14 +228,6 @@ def _ring_records(ns, deg_max, field):
     char = field.char
     out = []
     for n in ns:
-        if char == 2:
-            rep = char2_ring_check(n, deg_max, field)
-            p = {"n": n, "deg_max": deg_max, "char": 2}
-            for key in ("differentials_vanish", "dims_full",
-                        "product_matches_polynomial_model", "commutative"):
-                out.append(_rec(f"ring.char2.{key.replace('_', '-')}", p,
-                                True, rep[key]))
-            continue
         ranks = resolution_ranks(TermTables(n, field), deg_max)
         hhc = [ranks.hhc(m) for m in range(deg_max + 1)]
         for m in range(deg_max + 1):

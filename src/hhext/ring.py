@@ -8,21 +8,24 @@ the field is passed beside it; n and m are read off its keys.  Only
 multiplies the monomial parts in the exterior algebra and adds the
 exponent vectors (a convolution over all splittings).
 
-Away from characteristic 2 the single terms whose monomial degree has
-the parity of the cohomological degree (and the top monomial in degree
-0 when n is odd) form a basis of the classes, ``cohomology_basis``,
-which the unit check and the presentation audit read too; the records
+The single terms whose monomial degree has the parity of the
+cohomological degree (and the top monomial in degree 0 when n is odd)
+form a basis of the classes, ``cohomology_basis``; in characteristic 2,
+where both differentials vanish, every single term does.  The unit
+check and the presentation audit read that basis too; the records
 ring.basis-count and ring.basis-independent show it, the second by
 checking each such term against the coboundaries of its weight.
 Questions about coboundaries split by the Z^n weight v = e - 1_idx,
 which the cochain differential keeps, and each is answered in the
-weight blocks it touches.
+weight blocks it touches.  Every check runs the same way in every
+characteristic.
 
-The generators are single terms, one per letter (degree, index pair).
+The generators are single terms, one per letter (degree, index tuple).
 The relations are the table ``RELATIONS``; each instance is a sum of
 two-letter words with integer coefficients, an element of the free
 algebra on the letters, which holds when its cup evaluation is the zero
-class.  Presentation normal forms are words on the same letters.
+class.  Presentation normal forms are words on the same letters, and in
+characteristic 2 on the one-index letters x_i and y_q.
 """
 
 from __future__ import annotations
@@ -34,15 +37,7 @@ from itertools import combinations, combinations_with_replacement, product
 from .exactla import apply, rank_gain
 from .exterior import check_n, merge_signed, monomials
 from .formulas import binom, same_parity
-from .resolution import (
-    TermTables,
-    chain_dim,
-    chain_keys,
-    exponent_vectors,
-    key_weight,
-    resolution_ranks,
-    weight_domain,
-)
+from .resolution import TermTables, exponent_vectors, key_weight, weight_domain
 
 
 def cochain(n, m, field, terms):
@@ -155,17 +150,16 @@ def cup(a, b, field):
 
 
 def cohomology_basis(n, m, field):
-    """Basis of degree-m cohomology classes, away from characteristic 2:
-    the single terms whose monomial degree i satisfies p(i) = p(m), with
-    i running over 0..n, and in degree 0, the center of the algebra, the
-    top monomial too when n is odd.
+    """Basis of degree-m cohomology classes: the single terms whose
+    monomial degree i satisfies p(i) = p(m), with i running over 0..n,
+    and in degree 0, the center of the algebra, the top monomial too when
+    n is odd.  In characteristic 2 the parity condition drops, as in the
+    closed forms, and every single term is a class.
     """
-    if field.char == 2:
-        raise ValueError("characteristic 2 has no parity basis; every "
-                         "cochain is a cocycle there")
     es = exponent_vectors(n, m)
     return [{(idx, e): 1} for idx in monomials(n)
-            if same_parity(len(idx), m) or (m == 0 and len(idx) == n)
+            if field.char == 2 or same_parity(len(idx), m)
+            or (m == 0 and len(idx) == n)
             for e in es]
 
 
@@ -201,16 +195,20 @@ def _letter_keys(n):
             tuple(combinations_with_replacement(rng, 2)))
 
 
+def _letter(n, d, k):
+    """The single term of the degree-d letter with index tuple k: the
+    monomial on all but the last d indices against the exponent vector
+    of the last d, coefficient one."""
+    cut = len(k) - d
+    return {(k[:cut], tuple(map(k[cut:].count, range(1, n + 1)))): 1}
+
+
 def generators(n):
     """Every generator once, in three dicts by degree keyed by its letter's
     index pair: x_i x_j in degree 0, x_p against exponent q in degree 1,
     the empty monomial against s, t in degree 2.  cup never changes them."""
-    def letter(idx, *hs):
-        return {(idx, tuple(map(hs.count, range(1, n + 1)))): 1}
-    k0, k1, k2 = _letter_keys(n)
-    return ({(i, j): letter((i, j)) for i, j in k0},
-            {(p, q): letter((p,), q) for p, q in k1},
-            {(s, t): letter((), s, t) for s, t in k2})
+    return tuple({k: _letter(n, d, k) for k in keys}
+                 for d, keys in enumerate(_letter_keys(n)))
 
 
 # The relations, one row per family: (id, test, right side).  Family
@@ -307,20 +305,19 @@ def verify_ring_relations(n, field):
 def _test_cocycle(n, m, field):
     """A degree-m cocycle that is no basis class: one term per monomial of
     degree parity p(m), the k-th against exponent vector k (cyclically)
-    with coefficient 1 + k % 2, nonzero in every odd characteristic."""
+    with coefficient 1 + k % 2, or 1 where that is 0 (characteristic 2),
+    so every term is nonzero in every characteristic."""
     es = exponent_vectors(n, m)
     pure = [idx for idx in monomials(n) if same_parity(len(idx), m)]
-    return {(idx, es[k % len(es)]): c for k, idx in enumerate(pure)
-            if (c := field.of(1 + k % 2))}
+    return {(idx, es[k % len(es)]): field.of(1 + k % 2) or 1
+            for k, idx in enumerate(pure)}
 
 
 def _structure_inputs(n, field, total_deg_max):
     """The monomial index tuples, the table {(a, b): merge_signed(a, b)}
     over every pair of them, and ``_test_cocycle`` in each degree
-    0..total_deg_max, built afresh on each call; away from characteristic
-    2, and with at least degree 0 to check."""
-    if field.char == 2:
-        raise ValueError("use the characteristic-2 structure check instead")
+    0..total_deg_max, built afresh on each call; with at least degree 0
+    to check."""
     if total_deg_max < 0:
         raise ValueError("total_deg_max must be >= 0")
     mons = monomials(n)
@@ -386,25 +383,39 @@ def verify_unital(n, field, total_deg_max):
 # Presentation by generators and relations: normal form audit.
 
 
-def presentation_normal_forms(n, degree):
-    """Normal-form words of the given total degree.
+def _chain_sizes(pool, degree, char):
+    """The sizes of the normal forms' chains on ``pool`` indices: those of
+    the degree's parity, and every size in characteristic 2."""
+    return range(pool + 1) if char == 2 else range(degree % 2, pool + 1, 2)
 
-    A word is an even-length strictly increasing chain of indices
-    grouped into degree-0 pair letters, extended by one degree-1 letter
-    on the next chain index when the degree is odd,
-    followed by a sorted multiset of exponent indices grouped into one
-    slot on the degree-1 letter (odd case) and degree-2 pair letters.
 
-    Letters are (0, (i1, i2)), (1, (p, q)) or (2, (s, t)).
+def presentation_normal_forms(n, degree, char=0):
+    """Normal-form words of the given total degree: one per strictly
+    increasing chain of indices, of a size ``_chain_sizes`` allows, and
+    sorted multiset of ``degree`` exponent indices.
+
+    Away from characteristic 2 the chain is grouped into degree-0 pair
+    letters, extended by one degree-1 letter on its last index when the
+    degree is odd, and the exponent indices fill one slot on that
+    degree-1 letter (odd case), then degree-2 pair letters.  In
+    characteristic 2 the word is x_S y^e: one degree-0 letter per chain
+    index, then one degree-1 letter per exponent index.
+
+    Letters are (0, (i1, i2)), (1, (p, q)) or (2, (s, t)), and in
+    characteristic 2 (0, (i,)) or (1, (q,)).
     """
     check_n(n)
     if degree < 0:
         raise ValueError("degree must be >= 0")
     odd = degree % 2
     out = []
-    for size in range(odd, n + 1, 2):
+    for size in _chain_sizes(n, degree, char):
         for chain in combinations(range(1, n + 1), size):
             for jvec in combinations_with_replacement(range(1, n + 1), degree):
+                if char == 2:
+                    out.append(tuple([(0, (i,)) for i in chain]
+                                     + [(1, (q,)) for q in jvec]))
+                    continue
                 letters = [(0, chain[p:p + 2])
                            for p in range(0, size - odd, 2)]
                 if odd:
@@ -415,20 +426,20 @@ def presentation_normal_forms(n, degree):
     return out
 
 
-def presentation_count(n, degree, min_index=1):
-    """Closed count of normal forms: (chains of the right parity from the
-    allowed indices) times (exponent multisets of the size the degree
-    dictates)."""
+def presentation_count(n, degree, min_index=1, char=0):
+    """Closed count of normal forms: (chains of the sizes ``_chain_sizes``
+    allows on the allowed indices) times (exponent multisets of the size
+    the degree dictates)."""
     pool_size = n - min_index + 1
-    odd = degree % 2
-    chains = sum(binom(pool_size, k) for k in range(odd, pool_size + 1, 2))
+    chains = sum(binom(pool_size, k)
+                 for k in _chain_sizes(pool_size, degree, char))
     return chains * binom(n + degree - 1, degree)
 
 
 def evaluate_word(word, unit, gens, field):
     """Cup product of the word's letters, left to right, from its first;
     ``unit`` for the empty word.  ``gens`` are the three dicts of
-    ``generators``."""
+    ``generators``, or those of ``presentation_audit``."""
     if not word:
         return unit
     (d, k), *rest = word
@@ -452,11 +463,13 @@ def presentation_audit(n, field, hhc):
     """
     records = []
     unit, gens = unit_class(n), generators(n)
+    for d in (0, 1):  # x_i and y_q, the one-index letters of characteristic 2
+        gens[d].update({(i,): _letter(n, d, (i,)) for i in range(1, n + 1)})
     for d, expected in enumerate(hhc):
-        words = presentation_normal_forms(n, d)
+        words = presentation_normal_forms(n, d, field.char)
         count = len(words)
         left = {key for v in cohomology_basis(n, d, field) for key in v}
-        clean = count == presentation_count(n, d, min_index=1)
+        clean = count == presentation_count(n, d, char=field.char)
         for w in words:
             val = evaluate_word(w, unit, gens, field)
             key = next(iter(val)) if len(val) == 1 else None
@@ -466,67 +479,8 @@ def presentation_audit(n, field, hhc):
                 clean = False
         records.append({
             "degree": d, "count": count,
-            "strict_count": presentation_count(n, d, min_index=2),
+            "strict_count": presentation_count(n, d, min_index=2,
+                                               char=field.char),
             "expected": expected, "evaluations_independent": clean,
             "unreached": sorted(left)})
     return records
-
-
-# ---------------------------------------------------------------------------
-# Characteristic 2: the ring is the whole term algebra.
-
-
-def char2_ring_check(n, deg_max, field):
-    """Structure of the cohomology ring in characteristic 2.
-
-    Checks that both differentials vanish (so every cochain is a cocycle
-    and there are no coboundaries), that the degree-m dimension is the
-    full term dimension, and that the product is the sign-free
-    polynomial-style product: monomial union when disjoint else zero,
-    exponents added; in particular the ring is commutative.  Each single
-    term is multiplied, in both orders, by the sum of every term of one
-    monomial in one degree; the keys of that product are distinct, so
-    each single-term product is still compared as a term of its own.
-    """
-    if field.char != 2:
-        raise ValueError("this check is only meaningful in characteristic 2")
-    tables = TermTables(n, field)
-    columns = [(tables.column(m, False), m) for m in range(deg_max + 1)]
-    columns += [(tables.column(m, True), m) for m in range(1, deg_max + 2)]
-    diffs_vanish = not any(apply(column, {key: 1}, field)
-                           for column, m in columns
-                           for key in chain_keys(n, m))
-    ranks = resolution_ranks(tables, deg_max)
-    dims_full = all(ranks.hhc(m) == chain_dim(n, m)
-                    for m in range(deg_max + 1))
-    product_ok = True
-    commutative = True
-    for s in range(deg_max + 1):
-        for t in range(deg_max + 1 - s):
-            es = exponent_vectors(n, t)
-            right = [(l2, dict.fromkeys([(l2, e2) for e2 in es], 1))
-                     for l2 in monomials(n)]
-            for l1, e1 in chain_keys(n, s):
-                set1 = set(l1)
-                a = {(l1, e1): 1}
-                sums = [tuple(map(operator.add, e1, e2)) for e2 in es]
-                for l2, b in right:
-                    got = cup(a, b, field)
-                    want = {}
-                    if set1.isdisjoint(l2):
-                        merged = tuple(sorted(l1 + l2))
-                        want = dict.fromkeys([(merged, e) for e in sums], 1)
-                    if got != want:
-                        product_ok = False
-                    if got != cup(b, a, field):
-                        commutative = False
-            if not (product_ok and commutative):
-                break
-        if not (product_ok and commutative):
-            break
-    return {
-        "differentials_vanish": diffs_vanish,
-        "dims_full": dims_full,
-        "product_matches_polynomial_model": product_ok,
-        "commutative": commutative,
-    }

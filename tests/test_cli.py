@@ -308,9 +308,9 @@ def test_dims_over_q_at_n14_matches_golden(tmp_path):
 
 
 def test_ring_over_prime_fields_matches_golden(tmp_path):
-    """ring in characteristic 2 (the product check of char2_ring_check)
-    and over GF(5), cup paths that no benchmark workload takes, writes
-    its JSON report byte for byte as kept in tests/golden."""
+    """ring in characteristic 2 (every single term a class, the normal
+    forms x_S y^e) and over GF(5), cup paths that no benchmark workload
+    takes, writes its JSON report byte for byte as kept in tests/golden."""
     for name, argv in (
             ("ring-n4-d4-char2.json",
              ["ring", "--n", "4", "--deg-max", "4", "--char", "2"]),

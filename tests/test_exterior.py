@@ -92,9 +92,12 @@ def test_center_basis_frozen():
     assert len(_center(4, QQ)) == 8
 
 
-def test_center_basis_char2_raises():
-    with pytest.raises(ValueError):
-        cohomology_basis(2, 0, GF(2))
+def test_center_basis_char2_is_every_monomial():
+    """In characteristic 2 the algebra is commutative, so every monomial
+    is central and the degree-0 basis has 2^n classes."""
+    assert _center(2, GF(2)) == [(), (1,), (2,), (1, 2)]
+    for n in (3, 4):
+        assert len(_center(n, GF(2))) == 2 ** n
 
 
 def test_commutator_quotient_dims():

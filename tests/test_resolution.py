@@ -62,6 +62,11 @@ def test_relation_window_membership():
             assert verify_relation_window_membership(n, m)
 
 
+def _lopsided(gens):
+    """g(1, 1) = x_1 x_2 + 2 x_2 x_1 at n = 2."""
+    gens[1, 1] = {(1, 2): 1, (2, 1): 2}
+
+
 def test_relation_window_membership_fails_under_planted_defects(monkeypatch):
     """A generator with unequal x_1 x_2 and x_2 x_1 coefficients, or a
     relation list with x_1 x_2 - x_2 x_1 in place of x_1 x_2 + x_2 x_1,
@@ -76,7 +81,7 @@ def test_relation_window_membership_fails_under_planted_defects(monkeypatch):
     def lopsided(n, m):
         gens = true_polys(n, m)
         if m == 2:
-            gens[1, 1] = {(1, 2): 1, (2, 1): 2}
+            _lopsided(gens)
         return gens
     monkeypatch.setattr(resolution, "generator_polynomials", lopsided)
     assert not verify_relation_window_membership(n, m)
@@ -100,7 +105,7 @@ def test_left_right_fails_on_a_right_only_builder(monkeypatch):
     def right_only(n, m):
         gens = true_polys(n, min(m, 2))
         if m >= 2:
-            gens[1, 1] = {(1, 2): 1, (2, 1): 2}
+            _lopsided(gens)
         if m == 3:
             gens = {e: resolution._appended(gens, e, right=True)
                     for e in exponent_vectors(n, 3)}
@@ -108,6 +113,62 @@ def test_left_right_fails_on_a_right_only_builder(monkeypatch):
     assert verify_left_right(2, 3)
     monkeypatch.setattr(resolution, "generator_polynomials", right_only)
     assert not verify_left_right(2, 3)
+
+
+def _scaled(gens):
+    """g(1, 1) = 2 x_1 x_2 + 2 x_2 x_1 at n = 2, still symmetric."""
+    gens[1, 1] = {(1, 2): 2, (2, 1): 2}
+
+
+def _dropped(gens):
+    """The last generator dropped."""
+    gens.popitem()
+
+
+# Per record id of ``verify --suite resolution --n 2 --m-max 3``: the
+# degree of generator_polynomials that a mutant edits, the edit, and the
+# exact set of (id, m) that fail under it.  The generator is dropped in
+# degree 3, so the left-right check, which reads degree 2 below degree 3,
+# finds every generator it looks up.
+LOPSIDED_FAILS = {
+    ("resolution.coefficients", 2), ("resolution.left-right", 2),
+    ("resolution.left-right", 3), ("resolution.window-membership", 2)}
+RESOLUTION_MUTANTS = {
+    "resolution.coefficients": (2, _scaled, {
+        ("resolution.coefficients", 2), ("resolution.left-right", 2),
+        ("resolution.left-right", 3)}),
+    "resolution.left-right": (2, _lopsided, LOPSIDED_FAILS),
+    "resolution.window-membership": (2, _lopsided, LOPSIDED_FAILS),
+    "resolution.generator-count": (3, _dropped, {
+        ("resolution.generator-count", 3)}),
+}
+
+
+@pytest.mark.parametrize("rid", sorted(RESOLUTION_MUTANTS))
+def test_planted_generator_defects_fail_their_records_at_the_cli(
+        tmp_path, monkeypatch, rid):
+    """``verify --suite resolution --n 2 --m-max 3`` exits 1 under each
+    mutant of generator_polynomials, with its record id among exactly
+    the expected failures; unplanted, the run passes."""
+    argv = ["verify", "--suite", "resolution", "--n", "2", "--m-max", "3",
+            "--format", "json", "--no-timestamp", "--out",
+            str(tmp_path / "resolution.json")]
+    assert cli.main(argv) == 0
+    degree, edit, want = RESOLUTION_MUTANTS[rid]
+    true_polys = resolution.generator_polynomials
+
+    def mutant(n, m):
+        gens = true_polys(n, m)
+        if m == degree:
+            edit(gens)
+        return gens
+    monkeypatch.setattr(resolution, "generator_polynomials", mutant)
+    assert cli.main(argv) == 1
+    records = json.loads((tmp_path / "resolution.json").read_text())["records"]
+    failed = {(r["id"], r["params"]["m"]) for r in records
+              if r["status"] == "fail"}
+    assert failed == want
+    assert rid in {i for i, _ in failed}
 
 
 def test_generator_space_dimension():

@@ -1,4 +1,4 @@
-"""Cup product ring: classes, relations, presentation, characteristic 2."""
+"""Cup product ring: classes, relations, presentation, every characteristic."""
 
 import json
 from collections import Counter
@@ -22,7 +22,6 @@ from hhext.resolution import (
 from hhext.ring import (
     add,
     apply_differential,
-    char2_ring_check,
     classes_equal,
     cochain,
     cohomology_basis,
@@ -111,17 +110,20 @@ def test_classes_unequal_off_coboundaries():
     assert not classes_equal(impure, {}, QQ)
 
 
-def hhc(n, m_max):
-    """The computed cohomology dimensions over Q in degrees 0..m_max."""
-    ranks = resolution_ranks(TermTables(n, QQ), m_max)
+def hhc(n, m_max, field=QQ):
+    """The computed cohomology dimensions in degrees 0..m_max, over Q
+    unless another field is given."""
+    ranks = resolution_ranks(TermTables(n, field), m_max)
     return [ranks.hhc(m) for m in range(m_max + 1)]
 
 
 def test_cohomology_basis_counts():
     assert [len(cohomology_basis(2, m, QQ)) for m in range(4)] == [2, 4, 6, 8]
     assert [len(cohomology_basis(3, m, QQ)) for m in range(4)] == [5, 12, 24, 40]
-    with pytest.raises(ValueError):
-        cohomology_basis(2, 1, GF(2))
+    # characteristic 2: every single term, 2^n C(n+m-1, m) in degree m
+    for n in (2, 3):
+        assert [len(cohomology_basis(n, m, GF(2))) for m in range(4)] == [
+            2 ** n * comb(n + m - 1, m) for m in range(4)]
 
 
 def test_cohomology_basis_independent():
@@ -428,11 +430,23 @@ def test_graded_commutativity_and_associativity():
     assert verify_associativity(2, QQ, 4)
     assert verify_graded_commutativity(3, QQ, 3)
     assert verify_associativity(3, QQ, 3)
+    assert verify_graded_commutativity(3, GF(2), 3)
+    assert verify_associativity(3, GF(2), 3)
     # the cup checks run on cocycles with several terms, not basis classes
-    for field in (QQ, GF(3)):
+    for field in (QQ, GF(2), GF(3)):
         for m in range(5):
             v = ring._test_cocycle(4, m, field)
             assert is_cocycle(v, field) and len(v) == 8
+
+
+def test_test_cocycle_keeps_every_term_in_every_characteristic():
+    """At n = 3 the test cocycle has 4 terms in each degree in every
+    characteristic: coefficients 1, 2, 1, 2 over Q and GF(3), and 1 in
+    place of each 2, which is 0, over GF(2)."""
+    for field, coeffs in ((QQ, [1, 2, 1, 2]), (GF(3), [1, 2, 1, 2]),
+                          (GF(2), [1, 1, 1, 1])):
+        for m in range(5):
+            assert list(ring._test_cocycle(3, m, field).values()) == coeffs
 
 
 def _degree(vec):
@@ -643,14 +657,44 @@ def test_presentation_normal_forms_small():
 
 
 def test_presentation_counts_match_dims():
-    for n in (2, 4):
-        for d in range(5):
-            assert presentation_count(n, d) == len(cohomology_basis(n, d, QQ))
+    for field in (QQ, GF(2)):
+        for n in (2, 4):
+            for d in range(5):
+                assert presentation_count(n, d, char=field.char) == len(
+                    cohomology_basis(n, d, field))
 
 
 def test_presentation_strict_reading_undercounts():
     assert presentation_count(3, 1, min_index=2) == 6
     assert presentation_count(2, 0, min_index=2) == 1
+    # characteristic 2: every chain on the n - 1 indices above 1
+    for n in (2, 3, 4):
+        for d in range(4):
+            assert presentation_count(n, d, min_index=2, char=2) == (
+                2 ** (n - 1) * comb(n + d - 1, d))
+
+
+def test_char2_normal_forms_are_x_s_y_e():
+    """In characteristic 2 a normal form is x_S y^e: a one-index degree-0
+    letter per index of S, then a one-index degree-1 letter per exponent
+    index."""
+    assert presentation_normal_forms(2, 0, char=2) == [
+        (), ((0, (1,)),), ((0, (2,)),), ((0, (1,)), (0, (2,)))]
+    words = presentation_normal_forms(2, 2, char=2)
+    assert ((0, (1,)), (1, (1,)), (1, (2,))) in words
+    assert len(words) == presentation_count(2, 2, char=2) == 12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_char2_presentation_audit_reaches_every_class(n):
+    """Over GF(2) the normal forms x_S y^e evaluate to distinct single
+    terms, one on every basis key, and their count is the computed
+    dimension, with the top monomial reached for odd n too."""
+    records = presentation_audit(n, GF(2), hhc(n, 3, GF(2)))
+    assert all(rec["evaluations_independent"] and rec["unreached"] == []
+               and rec["count"] == rec["expected"] for rec in records)
+    assert [rec["strict_count"] * 2 for rec in records] == [
+        rec["count"] for rec in records]
 
 
 def test_presentation_audit_flags_odd_n_degree_zero():
@@ -733,17 +777,10 @@ def test_generators_are_the_letters():
     assert W[2, 2] == {((), (0, 2, 0)): 1}
 
 
-def test_char2_ring_structure():
-    for n in (2, 3):
-        assert all(char2_ring_check(n, 3, GF(2)).values())
-    with pytest.raises(ValueError):
-        char2_ring_check(2, 2, QQ)
-
-
 def _dropped_product(orders):
     """cup with one term dropped, in the given orders: the product of x_1
     and x_2 when both carry the exponent vector (1, 0, ..., 0), wherever
-    that pair of terms meets inside a product of sums of terms."""
+    that pair of terms meets inside a cup product."""
     def planted(a, b, field):
         out = cup(a, b, field)
         for (l1, e1), (l2, e2) in product(a, b):
@@ -754,21 +791,6 @@ def _dropped_product(orders):
     return planted
 
 
-@pytest.mark.parametrize("orders, failing", [
-    ({((1,), (2,)), ((2,), (1,))}, {"product_matches_polynomial_model"}),
-    ({((1,), (2,))}, {"product_matches_polynomial_model", "commutative"}),
-], ids=["both-orders", "one-order"])
-def test_planted_char2_product_fails_its_records(monkeypatch, orders,
-                                                 failing):
-    """A product x_1 * x_2 dropped in both orders fails only the
-    polynomial-model record; dropped in one order, commutativity too."""
-    F = GF(2)
-    assert all(char2_ring_check(3, 2, F).values())
-    monkeypatch.setattr(ring, "cup", _dropped_product(orders))
-    rep = char2_ring_check(3, 2, F)
-    assert {key for key, ok in rep.items() if not ok} == failing
-
-
 def _left_summand_terms(m, h):
     """generator_terms with only the left summand x_h . g(e - d_h)."""
     return ((1, (h,), ()),)
@@ -776,27 +798,30 @@ def _left_summand_terms(m, h):
 
 def test_planted_char2_factor_fails_vanishing_check(monkeypatch):
     """Differential terms that keep only the left summand x_h . g(e - d_h)
-    no longer cancel in characteristic 2, and the vanishing check turns
-    false: the check applies the column rules afresh."""
-    F = GF(2)
-    assert char2_ring_check(3, 2, F)["differentials_vanish"]
+    no longer cancel in characteristic 2: a single term stops being a
+    cocycle, and the basis check turns false, since it applies the column
+    rules afresh."""
+    F, n, m = GF(2), 3, 1
+    basis, dim = cohomology_basis(n, m, F), hhc(n, m, F)[m]
+    assert verify_cohomology_basis(n, m, F, basis, dim)
+    assert all(is_cocycle(v, F) for v in basis)
     monkeypatch.setattr(resolution, "generator_terms", _left_summand_terms)
-    rep = char2_ring_check(3, 2, F)
-    assert not rep["differentials_vanish"] and not all(rep.values())
+    assert not all(is_cocycle(v, F) for v in basis)
+    assert not verify_cohomology_basis(n, m, F, basis, dim)
 
 
 # Per mutant: the module and attribute it replaces, the mutant, the
-# smallest ``ring --n 2 --char 2`` degree that shows it, and the
-# ring.char2 records that fail there.
+# smallest ``ring --n 2 --char 2`` degree that shows it, and the records
+# that fail there.
 CHAR2_MUTANTS = {
     "left-summand-only": (resolution, "generator_terms", _left_summand_terms,
-                          0, {"differentials-vanish", "dims-full"}),
+                          0, {"ring.basis-independent", "ring.presentation"}),
     "product-dropped-in-both-orders": (
         ring, "cup", _dropped_product({((1,), (2,)), ((2,), (1,))}), 2,
-        {"product-matches-polynomial-model"}),
+        {"ring.relation-family"}),
     "product-dropped-in-one-order": (
         ring, "cup", _dropped_product({((1,), (2,))}), 2,
-        {"product-matches-polynomial-model", "commutative"}),
+        {"ring.relation-family"}),
 }
 
 
@@ -804,13 +829,25 @@ CHAR2_MUTANTS = {
 def test_planted_char2_defects_fail_their_records_at_the_cli(
         tmp_path, monkeypatch, mutant):
     """Each mutant makes its smallest characteristic-2 ``ring`` run exit 1
-    with exactly its ring.char2 records failing.  ring.char2.dims-full
-    fails only with ring.char2.differentials-vanish: when every row is
-    empty no block is built, every rank is 0 and the dimensions are
-    full."""
+    with exactly its records failing, on the path every characteristic
+    takes.  With the left summand only, the differentials no longer
+    vanish: the computed dimension falls below the basis size and the
+    normal-form count."""
     module, name, planted, deg_max, ids = CHAR2_MUTANTS[mutant]
     monkeypatch.setattr(module, name, planted)
     code, records = _cli_ring(tmp_path, "--char", "2", n=2, deg_max=deg_max)
     failed = {rec["id"] for rec in records if rec["status"] == "fail"}
     assert code == 1
-    assert failed == {f"ring.char2.{key}" for key in ids}
+    assert failed == ids
+
+
+def test_ring_emits_one_id_set_in_every_characteristic(tmp_path):
+    """``ring --n 3 --deg-max 2`` emits the same record ids over Q, GF(2)
+    and GF(3), and passes in each."""
+    ids = {}
+    for char in ("0", "2", "3"):
+        code, records = _cli_ring(tmp_path, "--char", char)
+        assert code == 0, char
+        ids[char] = {rec["id"] for rec in records}
+    assert ids["0"] == ids["2"] == ids["3"]
+    assert len(ids["0"]) == 8

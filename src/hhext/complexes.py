@@ -47,84 +47,100 @@ def commutator_quotient_dim(n, field):
 
 # ---------------------------------------------------------------------------
 # Reduced bar complex oracle.  Monomials are bitmasks here (bit h - 1 for
-# the generator h).  Products
-# of squarefree monomials vanish or keep every generator count, so the
-# chain differential keeps the generator-count vector of a whole tuple
-# (a0, a1, ..., am), and the cochain differential keeps the counts of the
-# argument word minus those of the value.  Both are block diagonal by that
-# vector; their ranks are sums of block ranks, each block built and ranked
-# on its own.
+# the generator h), and a bar key is one int of n bits per slot: the
+# chain (a0, a1, ..., am) is a0 | a1 << n | ... | am << mn, the cochain
+# (w, b) is b | w1 << n | ... | wm << mn.  Products of squarefree
+# monomials vanish or keep every generator count, so the chain
+# differential keeps the generator-count vector of a whole chain, and the
+# cochain differential keeps the counts of the argument word minus those
+# of the value.  Both are block diagonal by that vector; their ranks are
+# sums of block ranks, each block built and ranked on its own.
 
 
 def bar_chain_dim(n, m):
     return 2 ** n * (2 ** n - 1) ** m
 
 
-def _bar_products(n):
-    """Product table of the monomials: ``table[a][b]`` is None when a and
-    b share a generator, else (sign, a | b)."""
+def _bar_signs(n):
+    """``signs[a | b << n]`` is 0 when the monomials a and b share a
+    generator, else the sign s of ab = s (a | b)."""
     check_n(n)
     idx = [tuple(h + 1 for h in range(n) if a >> h & 1) for a in range(2 ** n)]
-    return [[None if a & b else (merge_signed(idx[a], idx[b])[0], a | b)
-             for b in range(2 ** n)] for a in range(2 ** n)]
+    return [0 if a & b else merge_signed(idx[a], idx[b])[0]
+            for b in range(2 ** n) for a in range(2 ** n)]
 
 
 def _bar_chain_rule(n, m):
     """Column rule of the degree-m reduced Hochschild chain differential:
-    a tuple t = (a0, a1, ..., am), coefficient a0 and nonunit a1..am, goes
-    to {target tuple: integer coefficient}, the alternating sum of
-    adjacent products with the last slot wrapping around onto a0.
-    Interior products of nonunit monomials are never the unit, so no
-    extra normalization is needed."""
+    the code of a chain (a0, a1, ..., am), a1..am nonunit, goes to
+    {target code: integer coefficient}, the alternating sum of the faces.
+    Face i < m puts the product of slots i and i + 1, read as one pair
+    code, in slot i and moves the slots above it down; face m, the
+    wrap-around, puts am a0 in slot 0.  Products of nonunit monomials are
+    never the unit, so no extra normalization is needed."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    prod = _bar_products(n)
+    mask, pair = (1 << n) - 1, (1 << 2 * n) - 1
+    # by face parity: pair code -> (coefficient, product), None if it is 0
+    tables = [[(parity * s, p & mask | p >> n) if s else None
+               for p, s in enumerate(_bar_signs(n))] for parity in (1, -1)]
+    # face i < m: the shifts of slots i, i + 1, i + 2, its table, the
+    # slots below it
+    faces = [(i * n, i * n + n, i * n + 2 * n, tables[i & 1],
+              (1 << i * n) - 1) for i in range(m)]
+    wrap, top, middle = tables[m & 1], m * n, ((1 << m * n) - 1) ^ mask
 
     def column(t):
-        col = defaultdict(int)
-        res = prod[t[0]][t[1]]
-        if res:
-            col[(res[1],) + t[2:]] += res[0]
-        for i in range(1, m):
-            res = prod[t[i]][t[i + 1]]
+        col = {}  # faces i < m never meet; the wrap-around can meet face 0
+        for s0, s1, s2, table, below in faces:
+            res = table[t >> s0 & pair]
             if res:
-                col[t[:i] + (res[1],) + t[i + 2:]] += (-1) ** i * res[0]
-        res = prod[t[m]][t[0]]
+                col[t & below | res[1] << s0 | t >> s2 << s1] = res[0]
+        res = wrap[t >> top | (t & mask) << n]
         if res:
-            col[(res[1],) + t[1:m]] += (-1) ** m * res[0]
+            target = t & middle | res[1]
+            col[target] = col.get(target, 0) + res[0]
         return col
     return column
 
 
 def _bar_cochain_rule(n, m):
     """Column rule of the reduced Hochschild cochain differential from
-    degree m to m + 1: a cochain (w, b), argument word w of m nonunit
-    monomials and value b, goes to {target cochain: integer coefficient},
-    the left action on the value, the alternating splits of the argument
-    slots, and the signed right action."""
+    degree m to m + 1: the code of a cochain (w, b), m nonunit arguments
+    w and value b, goes to {target code: integer coefficient}, the left
+    action ((a,) + w, ab), the alternating splits of the argument slots,
+    and the signed right action (w + (a,), ba).  The lists it reads hold
+    only nonvanishing products: per value b the a disjoint from it, per
+    slot and monomial its splits, each with the bits of the target code
+    that it fixes."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    prod = _bar_products(n)
-    splits = [[] for _ in prod]
-    for u in range(1, len(prod)):
-        for v in range(1, len(prod)):
-            if prod[u][v]:
-                sign, uv = prod[u][v]
-                splits[uv].append((u, v, sign))
+    signs, size, top = _bar_signs(n), 1 << n, (m + 1) * n
+    left = [[(a | b | a << n, signs[a | b << n])
+             for a in range(1, size) if not a & b] for b in range(size)]
+    right = [[(a | b | a << top, (-1) ** (m + 1) * signs[b | a << n])
+              for a in range(1, size) if not a & b] for b in range(size)]
+    splits = [[(u, v, signs[u | v << n]) for u in range(1, size)
+               for v in range(1, size) if u | v == uv and not u & v]
+              for uv in range(size)]
+    # slot i: its shift, the slots below it, its splits per monomial
+    slots = [(i * n, (1 << i * n) - 1,
+              [[(u << i * n | v << i * n + n, (-1) ** i * sign)
+                for u, v, sign in split] for split in splits])
+             for i in range(1, m + 1)]
 
-    def column(key):
-        w, b = key
-        col = defaultdict(int)
-        for a in range(1, len(prod)):
-            res = prod[a][b]
-            if res:
-                col[((a,) + w, res[1])] += res[0]
-            res = prod[b][a]
-            if res:
-                col[(w + (a,), res[1])] += (-1) ** (m + 1) * res[0]
-        for i in range(1, m + 1):
-            for u, v, sign in splits[w[i - 1]]:
-                col[(w[:i - 1] + (u, v) + w[i:], b)] += (-1) ** i * sign
+    def column(t):
+        b = t & size - 1
+        word = t ^ b
+        # a split never meets an action; the actions meet when every
+        # argument is the same a
+        col = {word << n | c: s for c, s in left[b]}
+        for c, s in right[b]:
+            col[word | c] = col.get(word | c, 0) + s
+        for shift, below, split in slots:
+            rest = t & below | t >> shift + n << shift + 2 * n
+            for c, s in split[t >> shift & size - 1]:
+                col[rest | c] = s
         return col
     return column
 
@@ -135,13 +151,15 @@ def _shift_counts(c, a, d):
 
 
 def _bar_words(n, m):
-    """The m-tuples of nonunit monomials, bucketed by generator-count vector."""
-    words = {(0,) * n: [()]}
-    for _ in range(m):
+    """The words (w1, ..., wm) of nonunit monomials, as the codes
+    w1 << n | ... | wm << mn, bucketed by generator-count vector."""
+    words = {(0,) * n: [0]}
+    for j in range(1, m + 1):
         longer = defaultdict(list)
         for c, ws in words.items():
             for a in range(1, 2 ** n):
-                longer[_shift_counts(c, a, 1)].extend(w + (a,) for w in ws)
+                code = a << j * n
+                longer[_shift_counts(c, a, 1)].extend(w | code for w in ws)
         words = longer
     return words
 
@@ -150,10 +168,10 @@ def _bar_blocks(n, m, chain):
     """The generator-count blocks of the degree-m bar chain differential
     (``chain``) or of the bar cochain differential leaving degree m, in a
     fixed order and unbuilt: each a list of pairs (a, words), whose keys
-    (``_bar_domain``) pair the monomial a with each word.  The chain block
-    of the count vector c holds (a0,) + w for the words w with counts
-    c - 1_a0; the cochain block of v holds (w, b) for the words w with
-    counts v + 1_b."""
+    (``_bar_domain``) put the monomial a in slot 0 of each word code.
+    The chain block of the count vector c holds the chains (a, w) for the
+    words w with counts c - 1_a; the cochain block of v holds the
+    cochains (w, a) for the words w with counts v + 1_a."""
     d = 1 if chain else -1
     blocks = defaultdict(list)
     for c, words in _bar_words(n, m).items():
@@ -162,9 +180,10 @@ def _bar_blocks(n, m, chain):
     return list(blocks.values())
 
 
-def _bar_domain(block, chain):
-    """The domain keys of an unbuilt block of ``_bar_blocks``."""
-    return [(a,) + w if chain else (w, a) for a, words in block for w in words]
+def _bar_domain(block):
+    """The domain codes a | w of an unbuilt block of ``_bar_blocks``: the
+    chains (a, w), or the cochains (w, a), of its pairs (a, words)."""
+    return [a | w for a, words in block for w in words]
 
 
 def largest_feasible_degree(n, cap=DEFAULT_ORACLE_CAP):
@@ -192,8 +211,7 @@ def _bar_share(n, m_max, field, share, k):
         total = 0
         for block in _bar_blocks(n, m, chain):
             if i % k == share:
-                total += rank(keyed_matrix(_bar_domain(block, chain), column,
-                                           field))
+                total += rank(keyed_matrix(_bar_domain(block), column, field))
             i += 1
         ranks.append(total)
     return ranks

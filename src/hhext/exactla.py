@@ -11,8 +11,10 @@ inverts a nonzero scalar, so the elimination code is field-agnostic.  No
 floating point anywhere.
 
 ``rank`` is the one elimination routine; a span question is asked as a
-rank difference (``rank_gain``).  It eliminates columns in order of fill,
-a column left with one live row first, each on its shortest live row.
+rank difference (``rank_gain``).  It works on the shorter side, the
+transpose of a matrix with more rows than columns, and there eliminates
+columns in order of fill, a column left with one live row first, each on
+its shortest live row.
 """
 
 from __future__ import annotations
@@ -170,7 +172,9 @@ def apply(column, vec, field):
 def rank(M):
     """Rank of a sparse matrix by Gaussian elimination.
 
-    Columns are eliminated once each, in order of their fill in M, ties
+    The working rows are the rows of M, or its columns when M has more
+    rows than columns: the transpose has the same rank and fewer rows.
+    Their columns are eliminated once each, in order of fill, ties
     broken by first appearance; a column whose live fill falls to one,
     by the pivot row leaving it or by a cancellation, goes onto a stack
     and is eliminated next.  A pivot is the column's shortest live row,
@@ -178,7 +182,13 @@ def rank(M):
     """
     F = M.field
     of = F.of
-    rows = [dict(rd) for rd in M.entries]
+    if M.rows > M.cols:
+        rows = [{} for _ in range(M.cols)]
+        for i, rd in enumerate(M.entries):
+            for c, v in rd.items():
+                rows[c][i] = v
+    else:
+        rows = [dict(rd) for rd in M.entries]
     col_rows = {}
     for i, rd in enumerate(rows):
         for c in rd:

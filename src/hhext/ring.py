@@ -390,9 +390,10 @@ def _chain_sizes(pool, degree, char):
 
 
 def presentation_normal_forms(n, degree, char=0):
-    """Normal-form words of the given total degree: one per strictly
-    increasing chain of indices, of a size ``_chain_sizes`` allows, and
-    sorted multiset of ``degree`` exponent indices.
+    """The normal-form words of the given total degree, yielded one at a
+    time: one per strictly increasing chain of indices, of a size
+    ``_chain_sizes`` allows, and sorted multiset of ``degree`` exponent
+    indices.
 
     Away from characteristic 2 the chain is grouped into degree-0 pair
     letters, extended by one degree-1 letter on its last index when the
@@ -408,13 +409,12 @@ def presentation_normal_forms(n, degree, char=0):
     if degree < 0:
         raise ValueError("degree must be >= 0")
     odd = degree % 2
-    out = []
     for size in _chain_sizes(n, degree, char):
         for chain in combinations(range(1, n + 1), size):
             for jvec in combinations_with_replacement(range(1, n + 1), degree):
                 if char == 2:
-                    out.append(tuple([(0, (i,)) for i in chain]
-                                     + [(1, (q,)) for q in jvec]))
+                    yield tuple([(0, (i,)) for i in chain]
+                                + [(1, (q,)) for q in jvec])
                     continue
                 letters = [(0, chain[p:p + 2])
                            for p in range(0, size - odd, 2)]
@@ -422,8 +422,7 @@ def presentation_normal_forms(n, degree, char=0):
                     letters.append((1, (chain[-1], jvec[0])))
                 rest = jvec[odd:]
                 letters += [(2, rest[p:p + 2]) for p in range(0, len(rest), 2)]
-                out.append(tuple(letters))
-    return out
+                yield tuple(letters)
 
 
 def presentation_count(n, degree, min_index=1, char=0):
@@ -466,17 +465,17 @@ def presentation_audit(n, field, hhc):
     for d in (0, 1):  # x_i and y_q, the one-index letters of characteristic 2
         gens[d].update({(i,): _letter(n, d, (i,)) for i in range(1, n + 1)})
     for d, expected in enumerate(hhc):
-        words = presentation_normal_forms(n, d, field.char)
-        count = len(words)
         left = {key for v in cohomology_basis(n, d, field) for key in v}
-        clean = count == presentation_count(n, d, char=field.char)
-        for w in words:
+        count, clean = 0, True
+        for w in presentation_normal_forms(n, d, field.char):
+            count += 1
             val = evaluate_word(w, unit, gens, field)
             key = next(iter(val)) if len(val) == 1 else None
             if key in left and val[key]:
                 left.remove(key)
             else:
                 clean = False
+        clean = clean and count == presentation_count(n, d, char=field.char)
         records.append({
             "degree": d, "count": count,
             "strict_count": presentation_count(n, d, min_index=2,

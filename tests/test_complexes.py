@@ -13,6 +13,7 @@ import pytest
 
 from hhext import cli, complexes, resolution
 from hhext.exactla import GF, QQ, apply, keyed_matrix, rank
+from hhext.exterior import merge_signed
 from hhext.formulas import (
     chain_rank_double_sum,
     chain_rank_terms,
@@ -558,6 +559,20 @@ def test_bar_dims():
     assert bar_chain_dim(3, 3) == 2744
 
 
+def bar_code(slots, n):
+    """The oracle's code of a bar key from its slots: slots[i] << i n
+    summed, for the chain (a0, a1, ..., am) the slots a0, ..., am and for
+    the cochain (w, b) the slots b, w1, ..., wm."""
+    return sum(a << i * n for i, a in enumerate(slots))
+
+
+def bar_slots(code, n, length):
+    """The ``length`` slots of a bar code, inverse to ``bar_code``; no bit
+    may lie above them."""
+    assert code >> length * n == 0, (code, n, length)
+    return tuple(code >> i * n & (1 << n) - 1 for i in range(length))
+
+
 def bar_chain_keys(n, m):
     """Every degree-m bar chain (a0, a1, ..., am), a1..am nonunit."""
     return [(a,) + w for a in range(2 ** n)
@@ -570,19 +585,106 @@ def bar_cochain_keys(n, m):
             for b in range(2 ** n)]
 
 
+def bar_chain_codes(n, m):
+    return [bar_code(t, n) for t in bar_chain_keys(n, m)]
+
+
+def bar_cochain_codes(n, m):
+    return [bar_code((b,) + w, n) for w, b in bar_cochain_keys(n, m)]
+
+
+def monomial_product(a, b):
+    """ab for bitmask monomials, through the index tuples of exterior:
+    None when it vanishes, else (sign, a | b)."""
+    def indices(x):
+        return tuple(h + 1 for h in range(x.bit_length()) if x >> h & 1)
+    res = merge_signed(indices(a), indices(b))
+    return res and (res[0], a | b)
+
+
+def nonzero(col):
+    return {key: v for key, v in col.items() if v}
+
+
+def reference_bar_chain_rule(m):
+    """The degree-m bar chain differential on tuple keys, from the
+    definition: d(a0, ..., am) is the sum over i < m of
+    (-1)^i (a0, ..., a_i a_(i+1), ..., am), plus the wrap-around
+    (-1)^m (am a0, a1, ..., a_(m-1))."""
+    def column(t):
+        col = Counter()
+        for i in range(m):
+            res = monomial_product(t[i], t[i + 1])
+            if res:
+                col[t[:i] + (res[1],) + t[i + 2:]] += (-1) ** i * res[0]
+        res = monomial_product(t[m], t[0])
+        if res:
+            col[(res[1],) + t[1:m]] += (-1) ** m * res[0]
+        return nonzero(col)
+    return column
+
+
+def reference_bar_cochain_rule(n, m):
+    """The bar cochain differential leaving degree m on tuple keys (w, b),
+    from the definition (df)(a1, ..., a_(m+1)) = a1 f(a2, ...) + sum of
+    (-1)^i f(..., a_i a_(i+1), ...) + (-1)^(m+1) f(a1, ..., am) a_(m+1):
+    the dual basis element (w, b) goes to ((a,) + w, ab), to
+    (-1)^i (w with w_i split as uv, b), and to (-1)^(m+1) (w + (a,), ba)."""
+    def column(key):
+        w, b = key
+        col = Counter()
+        for a in range(1, 2 ** n):
+            res = monomial_product(a, b)
+            if res:
+                col[((a,) + w, res[1])] += res[0]
+            res = monomial_product(b, a)
+            if res:
+                col[(w + (a,), res[1])] += (-1) ** (m + 1) * res[0]
+        for i in range(1, m + 1):
+            for u in range(1, 2 ** n):
+                v = w[i - 1] ^ u  # uv = w_i: u and v split its generators
+                if v and u | v == w[i - 1]:
+                    split = w[:i - 1] + (u, v) + w[i:]
+                    col[(split, b)] += (-1) ** i * monomial_product(u, v)[0]
+        return nonzero(col)
+    return column
+
+
+def test_coded_bar_rules_match_the_tuple_reference():
+    """At n = 2, 3 and m <= 3, the image of every bar key under the
+    oracle's coded column rule decodes to its image under the tuple
+    reference rule."""
+    for n in (2, 3):
+        for m in range(1, 4):
+            rule = complexes._bar_chain_rule(n, m)
+            ref = reference_bar_chain_rule(m)
+            for t in bar_chain_keys(n, m):
+                got = {bar_slots(code, n, m): v
+                       for code, v in nonzero(rule(bar_code(t, n))).items()}
+                assert got == ref(t), (n, m, t)
+        for m in range(4):
+            rule = complexes._bar_cochain_rule(n, m)
+            ref = reference_bar_cochain_rule(n, m)
+            for w, b in bar_cochain_keys(n, m):
+                got = nonzero(rule(bar_code((b,) + w, n)))
+                got = {(slots[1:], slots[0]): v for code, v in got.items()
+                       for slots in [bar_slots(code, n, m + 2)]}
+                assert got == ref((w, b)), (n, m, w, b)
+
+
 def test_bar_differential_squares_to_zero():
     """Both bar column rules, applied twice to each key, give zero; each
     single application is nonzero somewhere."""
     chain, cochain = complexes._bar_chain_rule, complexes._bar_cochain_rule
     for m in (2, 3):
         d, d_below = chain(2, m), chain(2, m - 1)
-        keys = bar_chain_keys(2, m)
+        keys = bar_chain_codes(2, m)
         assert any(apply(d, {t: 1}, QQ) for t in keys)
         for t in keys:
             assert apply(d_below, apply(d, {t: 1}, QQ), QQ) == {}
     for m in (0, 1):
         d, d_above = cochain(2, m), cochain(2, m + 1)
-        keys = bar_cochain_keys(2, m)
+        keys = bar_cochain_codes(2, m)
         assert any(apply(d, {t: 1}, QQ) for t in keys)
         for t in keys:
             assert apply(d_above, apply(d, {t: 1}, QQ), QQ) == {}
@@ -602,7 +704,7 @@ def bar_blocks(n, m, field, chain):
     """(domain, block matrix) of every generator-count block of that
     differential: the oracle's domains, built with its column rule."""
     column = bar_rule(n, m, chain)
-    domains = [complexes._bar_domain(block, chain)
+    domains = [complexes._bar_domain(block)
                for block in complexes._bar_blocks(n, m, chain)]
     return [(domain, keyed_matrix(domain, column, field))
             for domain in domains]
@@ -614,9 +716,9 @@ def test_bar_blocks_partition_the_global_matrices():
     for field in FIELDS:
         for n, m_max in BAR_SIZES:
             for m in range(m_max + 1):
-                pairs = [(False, bar_cochain_keys(n, m))]
+                pairs = [(False, bar_cochain_codes(n, m))]
                 if m >= 1:
-                    pairs.append((True, bar_chain_keys(n, m)))
+                    pairs.append((True, bar_chain_codes(n, m)))
                 for chain, every_key in pairs:
                     full = keyed_matrix(every_key, bar_rule(n, m, chain), field)
                     got = bar_blocks(n, m, field, chain)
@@ -627,12 +729,16 @@ def test_bar_blocks_partition_the_global_matrices():
 
 
 # Each sign of the two bar column rules, as written in the rule's source,
-# and the side of the oracle that goes through it.
+# the same expression without the sign, and the side of the oracle that
+# goes through it.  A chain face reads its sign table by its parity.
 BAR_SIGNS = {
-    "chain-interior": ("_bar_chain_rule", "(-1) ** i * res[0]", "hh"),
-    "chain-wrap-around": ("_bar_chain_rule", "(-1) ** m * res[0]", "hh"),
-    "cochain-right-action": ("_bar_cochain_rule", "(-1) ** (m + 1) * res[0]", "hhc"),
-    "cochain-split": ("_bar_cochain_rule", "(-1) ** i * sign", "hhc"),
+    "chain-interior": ("_bar_chain_rule", "tables[i & 1]", "tables[0]", "hh"),
+    "chain-wrap-around": ("_bar_chain_rule", "tables[m & 1]", "tables[0]",
+                          "hh"),
+    "cochain-right-action": ("_bar_cochain_rule",
+                             "(-1) ** (m + 1) * signs[b | a << n]",
+                             "signs[b | a << n]", "hhc"),
+    "cochain-split": ("_bar_cochain_rule", "(-1) ** i * sign", "sign", "hhc"),
 }
 
 
@@ -641,11 +747,11 @@ def test_dropped_bar_sign_breaks_the_oracle(monkeypatch, mutant):
     """With one sign of a bar column rule dropped, the oracle leaves the
     closed formulas in degrees 1 and 2 on the side that uses the rule,
     and only there.  The mutant is the rule's own source minus the sign."""
-    name, sign, side = BAR_SIGNS[mutant]
+    name, sign, unsigned, side = BAR_SIGNS[mutant]
     source = inspect.getsource(getattr(complexes, name))
     assert source.count(sign) == 1
     namespace = {}
-    exec(source.replace(sign, sign.split(" * ")[1]), vars(complexes), namespace)
+    exec(source.replace(sign, unsigned), vars(complexes), namespace)
     monkeypatch.setattr(complexes, name, namespace[name])
     for field in (QQ, GF(3)):
         dims = bar_oracle_dims(3, 2, field)
@@ -731,7 +837,8 @@ def test_bar_shares_partition_the_work(monkeypatch):
     built = Counter()
 
     def counting(domain, column, field, make=complexes.keyed_matrix):
-        built[domain[0]] += 1
+        # a code determines its degree; the rule tells the side
+        built[column.__qualname__, domain[0]] += 1
         return make(domain, column, field)
     monkeypatch.setattr(complexes, "keyed_matrix", counting)
     for field in (QQ, GF(2), GF(3)):
@@ -760,8 +867,9 @@ def test_a_child_share_is_used(monkeypatch):
     """One sign flipped in a block of share 1, and only in the forked
     child that ranks it, takes the oracle off the closed formulas: the
     child's ranks are summed in, not recomputed by the parent."""
-    n, m_max, key0 = 3, 2, (2, 1, 2)
-    domains = [complexes._bar_domain(block, chain)
+    # the chain (2, 1, 2, 1) of degree 3, whose code no other block holds
+    n, m_max, key0 = 3, 2, bar_code((2, 1, 2, 1), 3)
+    domains = [complexes._bar_domain(block)
                for m, chain in bar_sides(m_max)
                for block in complexes._bar_blocks(n, m, chain)]
     index = [i for i, domain in enumerate(domains) if key0 in domain]

@@ -333,7 +333,7 @@ def test_rank_matches_reference_on_differential_blocks(field):
     def bar(rule, chain):
         def blocks(n, m, field):
             for block in complexes._bar_blocks(n, m, chain):
-                domain = complexes._bar_domain(block, chain)
+                domain = complexes._bar_domain(block)
                 yield domain, keyed_matrix(domain, rule(n, m), field)
         return blocks
     count = 0
@@ -378,3 +378,35 @@ def test_rank_column_emptied_before_its_turn():
         M = from_entries(4, 4, field, entries)
         assert_rank_matches_reference(M)
         assert rank(M) == 2
+
+
+def transpose(M):
+    """The transpose of M, through ``keyed_matrix``: column r is row r."""
+    return keyed_matrix(range(M.rows), M.entries.__getitem__, M.field)
+
+
+# Working rows 0..2 of the transpose: row 0 pivots column 0, and row 1
+# minus row 0 cancels columns 1 and 3, which leaves each with one live
+# row.  As M, the 4x3 transpose of these rows, it is tall.
+CANCELLING_TALL = {(0, 0): 1, (1, 0): 1, (3, 0): 1,
+                   (0, 1): 1, (1, 1): 1, (2, 1): 1, (3, 1): 1,
+                   (1, 2): 1, (2, 2): 2, (3, 2): 1}
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(3)), ids=repr)
+def test_rank_is_orientation_free(field):
+    """rank eliminates along the shorter side of M: on tall, wide and
+    square matrices it equals the dense reference and the rank of the
+    transpose, including a tall matrix whose elimination needs a
+    cancellation."""
+    tall = from_entries(4, 3, field, CANCELLING_TALL)
+    shapes = {(4, 3): tall, (3, 4): transpose(tall),
+              (6, 2): dense([[1, -1], [-1, 1], [0, 1], [1, 0], [1, 1],
+                             [1, -1]], field),
+              (2, 5): dense([[1, 0, -1, 0, 1], [1, 1, 1, 0, 1]], field),
+              (3, 3): dense([[1, 1, 0], [1, 1, 1], [0, 1, -1]], field)}
+    for shape, M in shapes.items():
+        assert (M.rows, M.cols) == shape, field
+        assert_rank_matches_reference(M)
+        assert rank(M) == rank(transpose(M)), (shape, field)
+    assert rank(tall) == {0: 3, 2: 3, 3: 3}[field.char]

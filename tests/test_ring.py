@@ -648,10 +648,10 @@ def test_specific_anticommutation():
 
 def test_presentation_normal_forms_small():
     # degree 0: even chains only; n=2 has the empty chain and (1, 2)
-    words = presentation_normal_forms(2, 0)
+    words = list(presentation_normal_forms(2, 0))
     assert words == [(), ((0, (1, 2)),)]
     # degree 1: one degree-1 letter, chain of size 1
-    words = presentation_normal_forms(2, 1)
+    words = list(presentation_normal_forms(2, 1))
     assert ((1, (1, 1)),) in words and ((1, (2, 2)),) in words
     assert len(words) == presentation_count(2, 1) == 4
 
@@ -678,9 +678,9 @@ def test_char2_normal_forms_are_x_s_y_e():
     """In characteristic 2 a normal form is x_S y^e: a one-index degree-0
     letter per index of S, then a one-index degree-1 letter per exponent
     index."""
-    assert presentation_normal_forms(2, 0, char=2) == [
+    assert list(presentation_normal_forms(2, 0, char=2)) == [
         (), ((0, (1,)),), ((0, (2,)),), ((0, (1,)), (0, (2,)))]
-    words = presentation_normal_forms(2, 2, char=2)
+    words = list(presentation_normal_forms(2, 2, char=2))
     assert ((0, (1,)), (1, (1,)), (1, (2,))) in words
     assert len(words) == presentation_count(2, 2, char=2) == 12
 

@@ -128,14 +128,15 @@ def classes_equal(a, b, field):
                         and in_coboundary_image(diff, field))
 
 
-def cup(a, b, field):
-    """Cup product of two cochains on the same n: multiply monomial parts,
-    add exponent vectors."""
-    of, plus = field.of, operator.add
+def cup(a, b, field, mul=None):
+    """Cup product of two cochains on the same n: multiply monomial parts
+    by ``mul`` (default: ``merge_signed`` as bound at the call), add
+    exponent vectors."""
+    of, plus, mul = field.of, operator.add, mul or merge_signed
     out = {}
     for (l1, e1), c1 in a.items():
         for (l2, e2), c2 in b.items():
-            res = merge_signed(l1, l2)
+            res = mul(l1, l2)
             if res is None:
                 continue
             v = of(c1 * c2 if res[0] > 0 else -(c1 * c2))
@@ -315,13 +316,14 @@ def _test_cocycle(n, m, field):
 
 def _structure_inputs(n, field, total_deg_max):
     """The monomial index tuples, the table {(a, b): merge_signed(a, b)}
-    over every pair of them, and ``_test_cocycle`` in each degree
-    0..total_deg_max, built afresh on each call; with at least degree 0
-    to check."""
+    over all 4^n pairs, its lookup as ``cup`` takes it, and
+    ``_test_cocycle`` in each degree 0..total_deg_max, built afresh on
+    each call; with at least degree 0 to check."""
     if total_deg_max < 0:
         raise ValueError("total_deg_max must be >= 0")
     mons = monomials(n)
-    return (mons, {(a, b): merge_signed(a, b) for a in mons for b in mons},
+    pairs = {(a, b): merge_signed(a, b) for a in mons for b in mons}
+    return (mons, pairs, lambda a, b: pairs[a, b],
             [_test_cocycle(n, m, field) for m in range(total_deg_max + 1)])
 
 
@@ -329,8 +331,9 @@ def verify_graded_commutativity(n, field, total_deg_max):
     """a * b = (-1)^(st) b * a for classes of degrees s + t <= total_deg_max.
 
     The sign rule is checked once on every pair of monomials, and cup
-    itself on one test cocycle per degree for every such (s, t)."""
-    mons, pairs, cocycles = _structure_inputs(n, field, total_deg_max)
+    itself, reading the pair table, on one test cocycle per degree for
+    every such (s, t)."""
+    mons, pairs, mul, cocycles = _structure_inputs(n, field, total_deg_max)
     for a, b in product(mons, repeat=2):
         ab, ba = pairs[a, b], pairs[b, a]
         if ba is not None:
@@ -339,8 +342,9 @@ def verify_graded_commutativity(n, field, total_deg_max):
             return False
     for s in range(total_deg_max + 1):
         for t in range(total_deg_max + 1 - s):
-            a, b, sign = cocycles[s], cocycles[t], (-1) ** (s * t)
-            if cup(a, b, field) != add({}, cup(b, a, field), field, sign):
+            a, b = cocycles[s], cocycles[t]
+            if (cup(a, b, field, mul)
+                    != add({}, cup(b, a, field, mul), field, (-1) ** (s * t))):
                 return False
     return True
 
@@ -348,23 +352,32 @@ def verify_graded_commutativity(n, field, total_deg_max):
 def verify_associativity(n, field, total_deg_max):
     """(a * b) * c = a * (b * c) for classes of total degree <= total_deg_max.
 
-    The sign rule is checked once on every triple of monomials, and cup
-    itself on one test cocycle per degree for every such degree triple."""
-    mons, pairs, cocycles = _structure_inputs(n, field, total_deg_max)
-    for a, b, c in product(mons, repeat=3):
-        ab, bc = pairs[a, b], pairs[b, c]
-        left = ab and pairs[ab[1], c]
-        right = bc and pairs[a, bc[1]]
-        if ((left and (ab[0] * left[0], left[1]))
-                != (right and (bc[0] * right[0], right[1]))):
+    On all 4^n monomial pairs, merge_signed is None exactly where the two
+    share an index, else their sorted union; so every overlapping triple is
+    None on both sides, and the sign rule is checked on the 4^n disjoint
+    ones.  Then cup, reading the pair table, on one test cocycle per degree
+    for every such degree triple, each product of two computed once."""
+    mons, pairs, mul, cocycles = _structure_inputs(n, field, total_deg_max)
+    for (a, b), ab in pairs.items():
+        union = tuple(sorted(set(a + b)))
+        if (ab and ab[1]) != (union if len(union) == len(a + b) else None):
             return False
-    for s in range(total_deg_max + 1):
-        for t in range(total_deg_max + 1 - s):
-            for u in range(total_deg_max + 1 - s - t):
-                a, b, c = cocycles[s], cocycles[t], cocycles[u]
-                if (cup(cup(a, b, field), c, field)
-                        != cup(a, cup(b, c, field), field)):
+    partners = {a: [b for b in mons if pairs[a, b]] for a in mons}
+    for a in mons:
+        for b in partners[a]:
+            sign, ab = pairs[a, b]
+            for c in partners[ab]:
+                bc = pairs[b, c]
+                if sign * pairs[ab, c][0] != bc[0] * pairs[a, bc[1]][0]:
                     return False
+    top = total_deg_max + 1
+    prods = {(s, t): cup(cocycles[s], cocycles[t], field, mul)
+             for s in range(top) for t in range(top - s)}
+    for (s, t), ab in prods.items():
+        for u in range(top - s - t):
+            if (cup(ab, cocycles[u], field, mul)
+                    != cup(cocycles[s], prods[t, u], field, mul)):
+                return False
     return True
 
 

@@ -336,8 +336,8 @@ def test_unit_blind_cup_fails_ring_unital_at_the_cli(tmp_path, monkeypatch):
     the unit only as the empty word's value."""
     unit = unit_class(3)
     true_cup = ring.cup
-    monkeypatch.setattr(ring, "cup", lambda a, b, field: (
-        {} if unit in (a, b) else true_cup(a, b, field)))
+    monkeypatch.setattr(ring, "cup", lambda a, b, field, mul=None: (
+        {} if unit in (a, b) else true_cup(a, b, field, mul)))
     code, records = _cli_ring(tmp_path)
     assert code == 1
     assert {rec["id"] for rec in records if rec["status"] == "fail"} == {
@@ -354,8 +354,8 @@ def test_unit_blind_to_the_top_class_fails_ring_unital_at_the_cli(
     unit, top = unit_class(3), {((1, 2, 3), (0, 0, 0)): 1}
     assert top in cohomology_basis(3, 0, QQ)
     true_cup = ring.cup
-    monkeypatch.setattr(ring, "cup", lambda a, b, field: (
-        {} if (a, b) == (unit, top) else true_cup(a, b, field)))
+    monkeypatch.setattr(ring, "cup", lambda a, b, field, mul=None: (
+        {} if (a, b) == (unit, top) else true_cup(a, b, field, mul)))
     code, records = _cli_ring(tmp_path)
     assert code == 1
     assert {rec["id"] for rec in records if rec["status"] == "fail"} == {
@@ -457,7 +457,7 @@ def _degree(vec):
 def _mutant_cup(n, drop_sign=False, square_left=False):
     """A cup product with one planted defect: the merge sign ignored, or
     the left coefficient squared in place of the product."""
-    def mutant(a, b, F):
+    def mutant(a, b, F, mul=None):
         out = {}
         for (l1, e1), c1 in a.items():
             for (l2, e2), c2 in b.items():
@@ -481,11 +481,29 @@ def _flipped_merge(a, b):
     return res
 
 
+def _merge_with(pair, value):
+    """merge_signed with one planted value on one ordered monomial pair."""
+    def planted(a, b):
+        return value if (a, b) == pair else merge_signed(a, b)
+    return planted
+
+
+def test_cup_looks_up_merge_signed_at_each_call(monkeypatch):
+    """Without a product argument, cup multiplies monomials by the
+    merge_signed that ring binds when it is called, so a patched one
+    reaches every caller."""
+    a, b = {((1, 2), (0, 0, 0)): 1}, {((3,), (1, 0, 0)): 1}
+    assert cup(a, b, QQ) == {((1, 2, 3), (1, 0, 0)): 1}
+    monkeypatch.setattr(ring, "merge_signed", _flipped_merge)
+    assert cup(a, b, QQ) == {((1, 2, 3), (1, 0, 0)): -1}
+
+
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF3"])
 def test_planted_defects_fail_structure_checks(monkeypatch, field):
     """Each planted defect turns its check false at n = 4, deg_max = 4.
-    The checks cache nothing that holds products, so a patched ``cup`` or
-    ``merge_signed`` is what they compute with."""
+    The checks keep products only within one call, each computed by the
+    patched ``cup`` or read from a table of the patched ``merge_signed``,
+    so the defect is what they compute with."""
     n, deg_max = 4, 4
     assert verify_graded_commutativity(n, field, deg_max)
     assert verify_associativity(n, field, deg_max)
@@ -502,15 +520,26 @@ def test_planted_defects_fail_structure_checks(monkeypatch, field):
 
 
 # Per mutant: the ring attribute it replaces, the mutant, the smallest
-# ``ring --n <= 3`` run (n, deg_max) that shows it, and the records that
-# must fail there.
+# ``ring --n <= 3`` run (n, deg_max) that shows it, and every record that
+# fails there.  Each word of a relation instance is a cup product, so a
+# defect in the products fails ring.relation-family too.
+PRODUCT_RECORDS = {"ring.associativity", "ring.graded-commutativity",
+                   "ring.relation-family"}
 STRUCTURE_MUTANTS = {
     "square-left": ("cup", _mutant_cup(2, square_left=True), 2, 0,
                     {"ring.associativity"}),
     "drop-sign": ("cup", _mutant_cup(2, drop_sign=True), 2, 2,
-                  {"ring.graded-commutativity"}),
-    "flipped-merge": ("merge_signed", _flipped_merge, 3, 0,
-                      {"ring.associativity", "ring.graded-commutativity"}),
+                  {"ring.graded-commutativity", "ring.relation-family"}),
+    "flipped-merge": ("merge_signed", _flipped_merge, 3, 0, PRODUCT_RECORDS),
+    # one pair that the disjoint-triple walk of verify_associativity reads,
+    # broken: a product on an overlapping pair, an unsorted monomial, a sign
+    "overlap-merged": ("merge_signed", _merge_with(((1,), (1,)), (1, (1, 1))),
+                       2, 0, PRODUCT_RECORDS),
+    "unsorted-merge": ("merge_signed", _merge_with(((2,), (1,)), (-1, (2, 1))),
+                       2, 0, PRODUCT_RECORDS),
+    "one-sign-flipped": ("merge_signed",
+                         _merge_with(((1, 2), (3,)), (-1, (1, 2, 3))),
+                         3, 0, PRODUCT_RECORDS),
 }
 
 
@@ -518,12 +547,14 @@ STRUCTURE_MUTANTS = {
 def test_planted_structure_defects_fail_their_records_at_the_cli(
         tmp_path, monkeypatch, mutant):
     """Each structure mutant makes its smallest ``ring`` run exit 1 with
-    its records among the failures."""
+    exactly its records failing, and raises nothing: ring.associativity
+    checks the pairs before its disjoint-triple walk reads them, so a
+    wrong monomial fails the record instead of breaking the walk."""
     name, planted, n, deg_max, ids = STRUCTURE_MUTANTS[mutant]
     monkeypatch.setattr(ring, name, planted)
     code, records = _cli_ring(tmp_path, n=n, deg_max=deg_max)
     failed = {rec["id"] for rec in records if rec["status"] == "fail"}
-    assert code == 1 and ids <= failed, failed
+    assert code == 1 and failed == ids, failed
 
 
 # Property tests of cup and the vector operations against references that
@@ -781,8 +812,8 @@ def _dropped_product(orders):
     """cup with one term dropped, in the given orders: the product of x_1
     and x_2 when both carry the exponent vector (1, 0, ..., 0), wherever
     that pair of terms meets inside a cup product."""
-    def planted(a, b, field):
-        out = cup(a, b, field)
+    def planted(a, b, field, mul=None):
+        out = cup(a, b, field, mul)
         for (l1, e1), (l2, e2) in product(a, b):
             first = (1,) + (0,) * (len(e1) - 1)
             if (l1, l2) in orders and e1 == e2 == first:
